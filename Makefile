@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-diff fabric-smoke mcheck-native profile soak-smoke soak telemetry-smoke clean
+.PHONY: all build test bench bench-smoke bench-diff fabric-smoke mcheck-native native-lin-smoke profile soak-smoke soak telemetry-smoke clean
 
 all: build
 
@@ -44,6 +44,18 @@ fabric-smoke:
 mcheck-native:
 	dune exec bin/msq_check.exe -- mcheck-native --depth-limit 10000 \
 	  --self-test --trace-out mcheck-counterexample.txt
+
+# Linearizability of the native queues across real domains: one
+# unbounded queue, the batch-capable segmented queue (batch rounds
+# included), the bounded SCQ ring (full verdicts checked against the
+# bounded spec) and the fabric's single-key projection, each plain and
+# under seeded chaos delays.  Exit 1 on any non-linearizable history.
+native-lin-smoke:
+	dune build bin/msq_check.exe
+	set -e; for q in ms segmented scq fabric; do \
+	  dune exec bin/msq_check.exe -- native-lin -q $$q; \
+	  dune exec bin/msq_check.exe -- native-lin -q $$q --chaos --seed 42; \
+	done
 
 # Where the cycles go: simulated cache-line heatmaps plus native
 # per-site/per-phase contention profiles, on the terminal.

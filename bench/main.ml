@@ -90,19 +90,10 @@ let memory_axis () =
   let footprints =
     List.map
       (fun { Harness.Registry.queue; _ } ->
-        let r = Harness.Memory_experiment.native_footprint queue ~elements () in
+        let r = Harness.Memory_experiment.footprint queue ~elements () in
         Format.printf "  %a@." Harness.Memory_experiment.pp_footprint r;
         r)
       Harness.Registry.native
-    @ List.map
-        (fun (e : Harness.Registry.bounded_entry) ->
-          let r =
-            Harness.Memory_experiment.bounded_footprint e.queue
-              ~capacity:elements ()
-          in
-          Format.printf "  %a@." Harness.Memory_experiment.pp_footprint r;
-          r)
-        Harness.Registry.native_bounded
   in
   let hp =
     Harness.Memory_experiment.hp_reclamation_lag
@@ -260,13 +251,13 @@ let microbench () =
   heading "Native microbenchmarks (single domain, ns per enqueue/dequeue pair)";
   let open Bechamel in
   let open Toolkit in
-  let pair (module Q : Core.Queue_intf.S) =
+  let pair (module Q : Core.Queue_intf.BOUNDED) =
     Test.make ~name:Q.name
       (Staged.stage
          (let q = Q.create () in
           fun () ->
-            Q.enqueue q 42;
-            ignore (Q.dequeue q)))
+            ignore (Q.try_enqueue q 42);
+            ignore (Q.try_dequeue q)))
   in
   let tests =
     Test.make_grouped ~name:"pair"
@@ -301,29 +292,6 @@ let microbench () =
          match Analyze.OLS.estimates ols with
          | Some (ns :: _) -> Format.printf "  %-32s %8.1f ns/pair@." name ns
          | Some [] | None -> Format.printf "  %-32s (no estimate)@." name)
-
-(* Native multi-domain throughput sanity check.  On this container (one
-   hardware core) domains timeslice, so this measures correctness under
-   real parallTo compare scalability use the simulator figures above. *)
-let native_domains () =
-  heading "Native 2-domain throughput sanity (wall time, timeshared core)";
-  let run (module Q : Core.Queue_intf.S) =
-    let q = Q.create () in
-    let per = 50_000 in
-    let t0 = Unix.gettimeofday () in
-    let worker () =
-      for i = 1 to per do
-        Q.enqueue q i;
-        ignore (Q.dequeue q)
-      done
-    in
-    let d = Domain.spawn worker in
-    worker ();
-    Domain.join d;
-    let dt = Unix.gettimeofday () -. t0 in
-    Format.printf "  %-22s %8.0f pairs/s@." Q.name (float_of_int (2 * per) /. dt)
-  in
-  List.iter (fun { Harness.Registry.queue; _ } -> run queue) Harness.Registry.native
 
 (* Native batched workload: throughput vs batch size, every domain
    hammering one queue with no think time (the highest-contention
@@ -366,15 +334,17 @@ let batched_sweep () =
   in
   let batches = [ 1; 2; 4; 8; 16; 32 ] in
   List.concat_map
-    (fun (e : Harness.Registry.batch_entry) ->
-      let (module Q : Core.Queue_intf.BATCH) = e.queue in
-      List.map
-        (fun batch ->
-          best_of (fun () ->
-              Harness.Workload_variants.batched (module Q) ~domains:2 ~items
-                ~batch ()))
-        batches)
-    Harness.Registry.native_batch
+    (fun { Harness.Registry.batch; _ } ->
+      match batch with
+      | None -> []
+      | Some (module Q : Core.Queue_intf.BATCH) ->
+          List.map
+            (fun batch ->
+              best_of (fun () ->
+                  Harness.Workload_variants.batched (module Q) ~domains:2
+                    ~items ~batch ()))
+            batches)
+    Harness.Registry.native
   (* the fabric's producer-batching path rides the same sweep, so the
      "batched" section compares one-FAA range claims against the
      fabric's route+engine overhead at every batch size *)
@@ -385,96 +355,38 @@ let batched_sweep () =
               ~items ~batch ()))
       batches
 
-(* Native instrumented metrics: every registered queue through the
-   [Obs.Instrumented] wrapper with metrics enabled — per-operation
-   latency histograms plus the probe events (CAS retries, backoffs,
-   E12/D9 help-alongs and segment-transition races) of a two-domain
-   enqueue/dequeue workload.  Batch-capable queues additionally run a
-   batch=8 workload through [Obs.Instrumented.Make_batch] (reported as
-   "<key>/batch8"), so the JSON also attributes segment-transition CAS
-   retries to batch operations.  This is the "native" section of
-   BENCH_queues.json.
+(* Run [worker] on this domain and on one spawned domain at once;
+   returns the wall time in seconds. *)
+let on_two_domains worker =
+  let t0 = Unix.gettimeofday () in
+  let d = Domain.spawn worker in
+  worker ();
+  Domain.join d;
+  Unix.gettimeofday () -. t0
 
-   The throughput fields (pairs_per_second, ns_per_pair) come from a
-   separate UNinstrumented best-of-3 run of the same two-domain loop:
-   the wrapper's two clock reads per operation cost about as much as a
-   fast queue operation itself, which would compress real throughput
-   differences between algorithms; and on a timeshared core a single
-   run's wall time is mostly scheduler noise.  The latency histograms
-   and event counters are from the instrumented run. *)
-
-(* Uninstrumented 2-domain throughput, best of [repeats] runs. *)
-let raw_throughput (module Q : Core.Queue_intf.S) ~per ~repeats =
-  let run () =
-    let q = Q.create () in
-    let worker () =
+(* The pair loop behind every native run below: each domain makes [per]
+   enqueue/dequeue pairs through [enq]/[deq]. *)
+let two_domain_pairs ~per enq deq =
+  on_two_domains (fun () ->
       for i = 1 to per do
-        Q.enqueue q i;
-        ignore (Q.dequeue q)
-      done
-    in
-    let t0 = Unix.gettimeofday () in
-    let d = Domain.spawn worker in
-    worker ();
-    Domain.join d;
-    Unix.gettimeofday () -. t0
-  in
-  let best = ref (run ()) in
-  for _ = 2 to repeats do
-    let dt = run () in
-    if dt < !best then best := dt
-  done;
-  !best
+        ignore (enq i);
+        ignore (deq ())
+      done)
 
-let instrumented_metrics () =
-  heading "Native instrumented metrics (2 domains, metrics enabled)";
-  let per = if smoke then 5_000 else 50_000 in
-  let throughput_per = if smoke then 50_000 else 100_000 in
-  List.map
-    (fun { Harness.Registry.queue = (module Q : Core.Queue_intf.S); _ } ->
-      let module I = Obs.Instrumented.Make (Q) in
-      let q = I.create () in
-      Obs.Control.with_enabled (fun () ->
-          let worker () =
-            for i = 1 to per do
-              I.enqueue q i;
-              ignore (I.dequeue q)
-            done
-          in
-          let d = Domain.spawn worker in
-          worker ();
-          Domain.join d;
-          let m = I.metrics q in
-          Format.printf "  %a@." Obs.Metrics.pp m;
-          let dt = raw_throughput (module Q) ~per:throughput_per ~repeats:3 in
-          let total_pairs = 2 * throughput_per in
-          let pairs_per_second = float_of_int total_pairs /. dt in
-          Format.printf "  %-24s %10.0f pairs/s (uninstrumented best-of-3)@."
-            "" pairs_per_second;
-          let ns_per_pair = dt *. 1e9 /. float_of_int total_pairs in
-          let metric_fields =
-            match Obs.Metrics.to_json m with Obs.Json.Assoc kvs -> kvs | _ -> []
-          in
-          Obs.Json.Assoc
-            (metric_fields
-            @ [
-                ("pairs", Obs.Json.Int total_pairs);
-                ("ns_per_pair", Obs.Json.Float ns_per_pair);
-                ("pairs_per_second", Obs.Json.Float pairs_per_second);
-              ])))
-    Harness.Registry.native
+let metric_fields m =
+  match Obs.Metrics.to_json m with Obs.Json.Assoc kvs -> kvs | _ -> []
 
-let instrumented_batch_metrics () =
-  let per = if smoke then 5_000 else 50_000 in
+(* The batch=8 workload of a batch-capable queue through
+   [Obs.Instrumented.Make_batch]: each domain enqueues a batch and then
+   dequeues batches until it has taken as many items back. *)
+let instrumented_batch8 (module Q : Core.Queue_intf.BATCH) ~per =
   let batch = 8 in
-  List.map
-    (fun (e : Harness.Registry.batch_entry) ->
-      let (module Q : Core.Queue_intf.BATCH) = e.queue in
-      let module I = Obs.Instrumented.Make_batch (Q) in
-      let q = I.create () in
-      Obs.Control.with_enabled (fun () ->
-          let rounds = per / batch in
-          let worker () =
+  let module I = Obs.Instrumented.Make_batch (Q) in
+  let q = I.create () in
+  Obs.Control.with_enabled (fun () ->
+      let rounds = per / batch in
+      let dt =
+        on_two_domains (fun () ->
             for r = 1 to rounds do
               I.enqueue_batch q (List.init batch (fun k -> (r * batch) + k));
               let got = ref 0 in
@@ -483,108 +395,102 @@ let instrumented_batch_metrics () =
                 | [] -> Domain.cpu_relax ()
                 | l -> got := !got + List.length l
               done
-            done
-          in
-          let t0 = Unix.gettimeofday () in
-          let d = Domain.spawn worker in
-          worker ();
-          Domain.join d;
-          let dt = Unix.gettimeofday () -. t0 in
-          let m = I.metrics q in
-          Format.printf "  [batch=%d] %a@." batch Obs.Metrics.pp m;
-          let total_items = 2 * rounds * batch in
-          let metric_fields =
-            match Obs.Metrics.to_json m with
-            | Obs.Json.Assoc kvs ->
-                (* rename so the entry is distinguishable from the same
-                   queue's single-op record in the "native" list *)
-                List.map
-                  (function
-                    | "name", Obs.Json.String n ->
-                        ("name", Obs.Json.String (Printf.sprintf "%s/batch%d" n batch))
-                    | kv -> kv)
-                  kvs
-            | _ -> []
-          in
-          Obs.Json.Assoc
-            (metric_fields
-            @ [
-                ("batch", Obs.Json.Int batch);
-                ("items", Obs.Json.Int total_items);
-                ( "items_per_second",
-                  Obs.Json.Float (float_of_int total_items /. dt) );
-              ])))
-    Harness.Registry.native_batch
+            done)
+      in
+      let m = I.metrics q in
+      Format.printf "  [batch=%d] %a@." batch Obs.Metrics.pp m;
+      let total_items = 2 * rounds * batch in
+      (* renamed so the entry is distinguishable from the same queue's
+         single-op record in the "native" list *)
+      let renamed =
+        List.map
+          (function
+            | "name", Obs.Json.String n ->
+                ("name", Obs.Json.String (Printf.sprintf "%s/batch%d" n batch))
+            | kv -> kv)
+          (metric_fields m)
+      in
+      Obs.Json.Assoc
+        (renamed
+        @ [
+            ("batch", Obs.Json.Int batch);
+            ("items", Obs.Json.Int total_items);
+            ( "items_per_second",
+              Obs.Json.Float (float_of_int total_items /. dt) );
+          ]))
 
-(* Bounded queues through [Obs.Instrumented.Make_bounded]: the same
-   two-domain shape over try_enqueue/try_dequeue at a capacity small
-   enough (64) that full verdicts actually occur and the full_enqueues
-   counter means something.  Throughput is separate and uninstrumented,
-   as above. *)
-let instrumented_bounded_metrics () =
+(* Native instrumented metrics: every registered queue's [BOUNDED] view
+   through [Obs.Instrumented.Make_bounded] with metrics enabled —
+   per-operation latency histograms plus the probe events (CAS retries,
+   backoffs, E12/D9 help-alongs and segment-transition races) of the
+   two-domain pair loop.  The capacity (64) is small enough that a
+   bounded ring's full verdicts actually occur and [full_enqueues]
+   means something; an unbounded queue ignores it.  Batch-capable
+   queues additionally run a batch=8 workload through
+   [Obs.Instrumented.Make_batch] (reported as "<key>/batch8"), so the
+   JSON also attributes segment-transition CAS retries to batch
+   operations.  This is the "native" section of BENCH_queues.json.
+
+   The throughput fields (pairs_per_second, ns_per_pair) come from a
+   separate UNinstrumented best-of-3 run of the same loop: the
+   wrapper's two clock reads per operation cost about as much as a fast
+   queue operation itself, which would compress real throughput
+   differences between algorithms; and on a timeshared core a single
+   run's wall time is mostly scheduler noise.  The latency histograms
+   and event counters are from the instrumented run. *)
+let instrumented_metrics () =
+  heading "Native instrumented metrics (2 domains, metrics enabled)";
   let per = if smoke then 5_000 else 50_000 in
   let throughput_per = if smoke then 50_000 else 100_000 in
-  List.map
-    (fun (e : Harness.Registry.bounded_entry) ->
-      let (module Q : Core.Queue_intf.BOUNDED) = e.queue in
+  let capacity = 64 in
+  List.concat_map
+    (fun { Harness.Registry.queue = (module Q : Core.Queue_intf.BOUNDED); batch; _ }
+       ->
       let module I = Obs.Instrumented.Make_bounded (Q) in
-      let q = I.create ~capacity:64 () in
-      Obs.Control.with_enabled (fun () ->
-          let worker () =
-            for i = 1 to per do
-              ignore (I.try_enqueue q i);
-              ignore (I.try_dequeue q)
-            done
-          in
-          let d = Domain.spawn worker in
-          worker ();
-          Domain.join d;
-          let m = I.metrics q in
-          Format.printf "  [capacity=64] %a@." Obs.Metrics.pp m;
-          let raw () =
-            let q = Q.create ~capacity:64 () in
-            let worker () =
-              for i = 1 to throughput_per do
-                ignore (Q.try_enqueue q i);
-                ignore (Q.try_dequeue q)
-              done
-            in
-            let t0 = Unix.gettimeofday () in
-            let d = Domain.spawn worker in
-            worker ();
-            Domain.join d;
-            Unix.gettimeofday () -. t0
-          in
-          let best = ref (raw ()) in
-          for _ = 2 to 3 do
-            let dt = raw () in
-            if dt < !best then best := dt
-          done;
-          let total_pairs = 2 * throughput_per in
-          let pairs_per_second = float_of_int total_pairs /. !best in
-          Format.printf "  %-24s %10.0f pairs/s (uninstrumented best-of-3)@."
-            "" pairs_per_second;
-          let metric_fields =
-            match Obs.Metrics.to_json m with Obs.Json.Assoc kvs -> kvs | _ -> []
-          in
-          Obs.Json.Assoc
-            (metric_fields
-            @ [
-                ("capacity", Obs.Json.Int 64);
-                ("pairs", Obs.Json.Int total_pairs);
-                ( "ns_per_pair",
-                  Obs.Json.Float (!best *. 1e9 /. float_of_int total_pairs) );
-                ("pairs_per_second", Obs.Json.Float pairs_per_second);
-              ])))
-    Harness.Registry.native_bounded
+      let q = I.create ~capacity () in
+      let finite = I.capacity q < max_int in
+      let m =
+        Obs.Control.with_enabled (fun () ->
+            ignore
+              (two_domain_pairs ~per (I.try_enqueue q) (fun () ->
+                   I.try_dequeue q));
+            I.metrics q)
+      in
+      if finite then
+        Format.printf "  [capacity=%d] %a@." capacity Obs.Metrics.pp m
+      else Format.printf "  %a@." Obs.Metrics.pp m;
+      let raw () =
+        let q = Q.create ~capacity () in
+        two_domain_pairs ~per:throughput_per (Q.try_enqueue q) (fun () ->
+            Q.try_dequeue q)
+      in
+      let dt = List.fold_left min (raw ()) [ raw (); raw () ] in
+      let total_pairs = 2 * throughput_per in
+      let pairs_per_second = float_of_int total_pairs /. dt in
+      Format.printf "  %-24s %10.0f pairs/s (uninstrumented best-of-3)@." ""
+        pairs_per_second;
+      Obs.Json.Assoc
+        (metric_fields m
+        @ (if finite then [ ("capacity", Obs.Json.Int capacity) ] else [])
+        @ [
+            ("pairs", Obs.Json.Int total_pairs);
+            ( "ns_per_pair",
+              Obs.Json.Float (dt *. 1e9 /. float_of_int total_pairs) );
+            ("pairs_per_second", Obs.Json.Float pairs_per_second);
+          ])
+      :: (match batch with
+         | Some b -> [ instrumented_batch8 b ~per ]
+         | None -> []))
+    Harness.Registry.native
 
 (* Cycle attribution — the "where the cycles go" section:
    - simulated cache-line heatmaps for the paper's three main queues at
      p = 1 and p = 8 (deterministic; small pair count, this is about
      attribution, not throughput);
-   - native per-site contention and per-phase spans over the whole
-     registry under two real domains (Obs.Profile; site labels carry
-     the algorithm prefix, so one snapshot covers all queues).
+   - native per-site contention and per-phase spans over every
+     unbounded queue in the registry under two real domains
+     (Obs.Profile; site labels carry the algorithm prefix, so one
+     snapshot covers all queues).
    Runs in smoke too so BENCH_queues.json always carries the section. *)
 let profile_section () =
   heading "Cycle attribution: simulated cache-line heatmaps";
@@ -616,17 +522,12 @@ let profile_section () =
   Obs.Profile.reset ();
   Obs.Profile.enable ();
   List.iter
-    (fun { Harness.Registry.queue = (module Q : Core.Queue_intf.S); _ } ->
-      let q = Q.create () in
-      let worker () =
-        for i = 1 to per do
-          Q.enqueue q i;
-          ignore (Q.dequeue q)
-        done
-      in
-      let d = Domain.spawn worker in
-      worker ();
-      Domain.join d)
+    (fun { Harness.Registry.unbounded; _ } ->
+      Option.iter
+        (fun (module Q : Core.Queue_intf.S) ->
+          let q = Q.create () in
+          ignore (two_domain_pairs ~per (Q.enqueue q) (fun () -> Q.dequeue q)))
+        unbounded)
     Harness.Registry.native;
   Obs.Profile.disable ();
   let native_prof = Obs.Profile.snapshot () in
@@ -785,24 +686,17 @@ let timeline_section () =
   Obs.Sampler.clear ();
   Obs.Sampler.start ~period_ns:5_000_000 ();
   let per = if smoke then 30_000 else 100_000 in
-  let (module Q : Core.Queue_intf.S) =
+  let (module Q : Core.Queue_intf.BOUNDED) =
     (List.hd Harness.Registry.native).Harness.Registry.queue
   in
-  let module I = Obs.Instrumented.Make (Q) in
+  let module I = Obs.Instrumented.Make_bounded (Q) in
   let q = I.create () in
   Obs.Sampler.register_metrics ~prefix:"msq" (I.metrics q);
   Obs.Sampler.register_gauge "msq.length" (fun () ->
       float_of_int (I.length q));
   Obs.Control.with_enabled (fun () ->
-      let worker () =
-        for i = 1 to per do
-          I.enqueue q i;
-          ignore (I.dequeue q)
-        done
-      in
-      let d = Domain.spawn worker in
-      worker ();
-      Domain.join d);
+      ignore
+        (two_domain_pairs ~per (I.try_enqueue q) (fun () -> I.try_dequeue q)));
   Obs.Sampler.remove ~prefix:"msq";
   let fab =
     Fabric.Queue_fabric.create
@@ -881,15 +775,11 @@ let () =
     spsc_ablation ();
     workload_variants ();
     work_sweep ();
-    microbench ();
-    native_domains ()
+    microbench ()
   end;
   let robustness = robustness () in
   let batched = batched_sweep () in
-  let native =
-    instrumented_metrics () @ instrumented_batch_metrics ()
-    @ instrumented_bounded_metrics ()
-  in
+  let native = instrumented_metrics () in
   let profile = profile_section () in
   let memory = memory_axis () in
   let soak = soak_section () in

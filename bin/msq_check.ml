@@ -131,108 +131,48 @@ let lin_cmd =
 (* Linearizability of the NATIVE queues (real domains, not the
    simulator): record every operation of a small multi-domain workload
    through the stamp recorder and check the history against the
-   sequential FIFO spec.  Batch-capable queues (Registry.native_batch)
-   are additionally driven through enqueue_batch/dequeue_batch, each
-   batch recorded as a multi-element event over one interval. *)
-(* The bounded variant of native-lin: try_enqueue/try_dequeue at a
-   small capacity so full verdicts actually occur, each recorded as
-   History.Try_enq with its boolean outcome and checked against the
-   bounded sequential spec (Checker.check ~capacity — full verdicts at
-   pending-reservation strength, empty verdicts strict). *)
-let native_lin_bounded key domains ops rounds chaos capacity seed =
-  let (module B0 : Core.Queue_intf.BOUNDED) =
-    Harness.Registry.find_native_bounded key
-  in
-  let (module B : Core.Queue_intf.BOUNDED) =
-    if chaos then (module Obs.Chaos.Make_bounded (B0)) else (module B0)
-  in
-  if chaos then begin
-    (match seed with Some s -> Obs.Chaos.configure ~seed:s () | None -> ());
-    Obs.Chaos.enable ()
-  end;
-  let failures = ref 0 in
-  let fulls = ref 0 in
-  let cap_used = ref capacity in
-  for round = 1 to rounds do
-    let q = B.create ~capacity () in
-    cap_used := B.capacity q;
-    let recorder = Lincheck.History.create_recorder () in
-    (* Two enqueues per dequeue: the net fill drives the queue into its
-       capacity so full verdicts actually occur and get checked. *)
-    let try_enq i v =
-      Lincheck.History.record recorder ~proc:i (fun () ->
-          let ok = B.try_enqueue q v in
-          if not ok then incr fulls;
-          Lincheck.History.Try_enq (v, ok))
-    in
-    let body i () =
-      for k = 1 to ops do
-        try_enq i ((i * 1000) + (2 * k) - 1);
-        try_enq i ((i * 1000) + (2 * k));
-        Lincheck.History.record recorder ~proc:i (fun () ->
-            Lincheck.History.Deq (B.try_dequeue q))
-      done
-    in
-    let ds = List.init domains (fun i -> Domain.spawn (body i)) in
-    List.iter Domain.join ds;
-    match
-      Lincheck.Checker.check ~capacity:(B.capacity q)
-        (Lincheck.History.history recorder)
-    with
-    | Lincheck.Checker.Linearizable -> ()
-    | Lincheck.Checker.Not_linearizable ->
-        incr failures;
-        Format.printf "round %d: NON-LINEARIZABLE@." round
-    | Lincheck.Checker.Inconclusive ->
-        Format.printf "round %d: inconclusive@." round
-  done;
-  if chaos then begin
-    Format.printf "%s: chaos on (seed %Ld), %d delays injected@." key
-      (Obs.Chaos.current ()).Obs.Chaos.seed
-      (Obs.Chaos.hits ());
-    Obs.Chaos.disable ()
-  end;
-  Format.printf
-    "%s: %d rounds x %d domains at capacity %d, %d full verdicts, %d \
-     linearizability failures@."
-    key rounds domains !cap_used !fulls !failures;
-  if !failures = 0 then 0 else 1
-
+   sequential FIFO spec.  Every queue runs through its BOUNDED view, so
+   each enqueue records as History.Try_enq with its verdict.  A queue
+   with a finite capacity runs two enqueues per dequeue, so the net fill
+   drives it into its capacity and full verdicts actually occur, and is
+   checked against the bounded sequential spec (Checker.check ~capacity
+   — full verdicts at pending-reservation strength, empty verdicts
+   strict).  Batch-capable queues also run batch rounds, each batch
+   recorded as a multi-element event over one interval. *)
 let native_lin_cmd =
   let run key domains ops rounds chaos capacity seed =
-    if
-      List.mem key Harness.Registry.native_bounded_keys
-      && not (List.mem key Harness.Registry.native_keys)
-    then native_lin_bounded key domains ops rounds chaos capacity seed
-    else begin
+    let entry = Harness.Registry.find_native key in
     (* The fabric's registry adapter routes by domain id, so it only
        promises per-key FIFO — a whole-queue FIFO checker would flag
        legitimate cross-shard reordering.  Pin every operation to one
        key (hence one shard), where total FIFO order is the claim. *)
-    let (module Q0 : Core.Queue_intf.S) =
-      if key = "fabric" then (module Fabric.Queue_fabric.Single_key)
-      else Harness.Registry.find_native key
+    let (module B0 : Core.Queue_intf.BOUNDED) =
+      if key = "fabric" then
+        (module Core.Queue_intf.Unbounded (Fabric.Queue_fabric.Single_key))
+      else entry.queue
     in
-    let (module Q : Core.Queue_intf.S) =
-      if chaos then (module Obs.Chaos.Make (Q0)) else (module Q0)
+    let (module B : Core.Queue_intf.BOUNDED) =
+      if chaos then (module Obs.Chaos.Make_bounded (B0)) else (module B0)
     in
     let batch_q =
-      if List.mem key Harness.Registry.native_batch_keys then
-        let (module B0 : Core.Queue_intf.BATCH) =
-          Harness.Registry.find_native_batch key
-        in
-        if chaos then
-          Some (module Obs.Chaos.Make_batch (B0) : Core.Queue_intf.BATCH)
-        else Some (module B0 : Core.Queue_intf.BATCH)
-      else None
+      Option.map
+        (fun (module B0 : Core.Queue_intf.BATCH) ->
+          if chaos then
+            (module Obs.Chaos.Make_batch (B0) : Core.Queue_intf.BATCH)
+          else (module B0 : Core.Queue_intf.BATCH))
+        entry.batch
     in
     if chaos then begin
       (match seed with Some s -> Obs.Chaos.configure ~seed:s () | None -> ());
       Obs.Chaos.enable ()
     end;
     let failures = ref 0 in
-    let check round recorder =
-      match Lincheck.Checker.check (Lincheck.History.history recorder) with
+    let fulls = ref 0 in
+    let cap_used = ref max_int in
+    let check ?capacity round recorder =
+      match
+        Lincheck.Checker.check ?capacity (Lincheck.History.history recorder)
+      with
       | Lincheck.Checker.Linearizable -> ()
       | Lincheck.Checker.Not_linearizable ->
           incr failures;
@@ -241,39 +181,48 @@ let native_lin_cmd =
           Format.printf "round %d: inconclusive@." round
     in
     for round = 1 to rounds do
-      let q = Q.create () in
+      let q = B.create ~capacity () in
+      cap_used := B.capacity q;
+      let finite = !cap_used < max_int in
       let recorder = Lincheck.History.create_recorder () in
+      let try_enq i v =
+        Lincheck.History.record recorder ~proc:i (fun () ->
+            let ok = B.try_enqueue q v in
+            if not ok then incr fulls;
+            Lincheck.History.Try_enq (v, ok))
+      in
       let body i () =
         for k = 1 to ops do
-          let v = (i * 1000) + k in
+          if finite then begin
+            try_enq i ((i * 1000) + (2 * k) - 1);
+            try_enq i ((i * 1000) + (2 * k))
+          end
+          else try_enq i ((i * 1000) + k);
           Lincheck.History.record recorder ~proc:i (fun () ->
-              Q.enqueue q v;
-              Lincheck.History.Enq v);
-          Lincheck.History.record recorder ~proc:i (fun () ->
-              Lincheck.History.Deq (Q.dequeue q))
+              Lincheck.History.Deq (B.try_dequeue q))
         done
       in
       let ds = List.init domains (fun i -> Domain.spawn (body i)) in
       List.iter Domain.join ds;
-      check round recorder
+      check ?capacity:(if finite then Some !cap_used else None) round recorder
     done;
     (match batch_q with
     | None -> ()
-    | Some (module B : Core.Queue_intf.BATCH) ->
+    | Some (module Q : Core.Queue_intf.BATCH) ->
         for round = 1 to rounds do
-          let q = B.create () in
+          let q = Q.create () in
           let recorder = Lincheck.History.create_recorder () in
           let body i () =
             for k = 1 to ops do
               let base = (i * 1000) + (k * 10) in
               let vs = List.init 3 (fun j -> base + j) in
               Lincheck.History.record_many recorder ~proc:i (fun () ->
-                  B.enqueue_batch q vs;
+                  Q.enqueue_batch q vs;
                   List.map (fun v -> Lincheck.History.Enq v) vs);
               Lincheck.History.record_many recorder ~proc:i (fun () ->
                   List.map
                     (fun v -> Lincheck.History.Deq (Some v))
-                    (B.dequeue_batch q ~max:3))
+                    (Q.dequeue_batch q ~max:3))
             done
           in
           let ds = List.init domains (fun i -> Domain.spawn (body i)) in
@@ -287,19 +236,21 @@ let native_lin_cmd =
         (Obs.Chaos.hits ());
       Obs.Chaos.disable ()
     end;
-    Format.printf "%s: %d rounds x %d domains, %d linearizability failures@." key
-      rounds domains !failures;
+    Format.printf "%s: %d rounds x %d domains%s, %d linearizability failures@."
+      key rounds domains
+      (if !cap_used < max_int then
+         Printf.sprintf " at capacity %d, %d full verdicts" !cap_used !fulls
+       else "")
+      !failures;
     if !failures = 0 then 0 else 1
-    end
   in
   let key =
     Arg.(
       value & opt string "segmented"
       & info [ "q"; "queue" ]
-          ~doc:"Native queue key (see Harness.Registry.native_keys), or a \
-                bounded queue key (Harness.Registry.native_bounded_keys, \
-                e.g. scq): bounded queues record try_enqueue verdicts and \
-                check against the bounded sequential spec.")
+          ~doc:"Native queue key (see Harness.Registry.native_keys); a \
+                bounded queue (e.g. scq) is checked against the bounded \
+                sequential spec at $(b,--capacity).")
   in
   let domains = Arg.(value & opt int 2 & info [ "d"; "domains" ] ~doc:"Domains.") in
   let ops = Arg.(value & opt int 4 & info [ "ops" ] ~doc:"Pairs per domain.") in
@@ -644,9 +595,14 @@ let soak_cmd =
    checks element conservation and per-producer FIFO order. *)
 let chaos_cmd =
   let run key domains ops rounds seed one_in max_delay =
-    let keys =
-      if key = "all" then Harness.Registry.native_keys else [ key ]
+    let entries =
+      List.filter
+        (fun (e : Harness.Registry.native_entry) ->
+          Option.is_some e.unbounded && (key = "all" || e.key = key))
+        Harness.Registry.native
     in
+    if entries = [] then
+      invalid_arg (Printf.sprintf "no unbounded native queue %S" key);
     Obs.Chaos.configure ?seed ~one_in ~max_delay ();
     let failures = ref 0 in
     let stamp p k = (p * 1_000_000) + k in
@@ -709,19 +665,16 @@ let chaos_cmd =
     Obs.Chaos.reset_hits ();
     Obs.Chaos.with_enabled (fun () ->
         List.iter
-          (fun key ->
-            let (module Q0 : Core.Queue_intf.S) =
-              Harness.Registry.find_native key
-            in
-            let module Q = Obs.Chaos.Make (Q0) in
+          (fun (e : Harness.Registry.native_entry) ->
+            let module Q = Obs.Chaos.Make ((val Option.get e.unbounded)) in
             for _ = 1 to rounds do
-              check_round key (module Q : Core.Queue_intf.S)
+              check_round e.key (module Q : Core.Queue_intf.S)
             done)
-          keys);
+          entries);
     Format.printf
       "chaos: %d queue(s) x %d rounds x %d domains x %d pairs, seed %Ld, %d \
        delays injected, %d violations@."
-      (List.length keys) rounds domains ops
+      (List.length entries) rounds domains ops
       (Obs.Chaos.current ()).Obs.Chaos.seed
       (Obs.Chaos.hits ()) !failures;
     if Obs.Chaos.hits () = 0 then begin
@@ -733,7 +686,8 @@ let chaos_cmd =
   let key =
     Arg.(value & opt string "all"
          & info [ "q"; "queue" ]
-             ~doc:"Native queue key, or $(b,all) for every registered queue.")
+             ~doc:"Unbounded native queue key, or $(b,all) for every \
+                   registered unbounded queue.")
   in
   let domains = Arg.(value & opt int 4 & info [ "d"; "domains" ] ~doc:"Domains.") in
   let ops = Arg.(value & opt int 2_000 & info [ "ops" ] ~doc:"Pairs per domain.") in
@@ -796,29 +750,29 @@ let profile_cmd =
     let native_results =
       if not native then []
       else
-        List.map
-          (fun key ->
-            let (module Q : Core.Queue_intf.S) =
-              Harness.Registry.find_native key
-            in
-            Obs.Profile.reset ();
-            Obs.Profile.enable ();
-            let q = Q.create () in
-            let worker () =
-              for i = 1 to 10_000 do
-                Q.enqueue q i;
-                ignore (Q.dequeue q)
-              done
-            in
-            let d = Domain.spawn worker in
-            worker ();
-            Domain.join d;
-            Obs.Profile.disable ();
-            let s = Obs.Profile.snapshot () in
-            Format.printf "@.native %s (2 domains, 10000 pairs each):@.%a" key
-              Obs.Profile.pp s;
-            (key, s))
-          Harness.Registry.native_keys
+        List.filter_map
+          (fun { Harness.Registry.key; unbounded; _ } ->
+            Option.map
+              (fun (module Q : Core.Queue_intf.S) ->
+                Obs.Profile.reset ();
+                Obs.Profile.enable ();
+                let q = Q.create () in
+                let worker () =
+                  for i = 1 to 10_000 do
+                    Q.enqueue q i;
+                    ignore (Q.dequeue q)
+                  done
+                in
+                let d = Domain.spawn worker in
+                worker ();
+                Domain.join d;
+                Obs.Profile.disable ();
+                let s = Obs.Profile.snapshot () in
+                Format.printf "@.native %s (2 domains, 10000 pairs each):@.%a"
+                  key Obs.Profile.pp s;
+                (key, s))
+              unbounded)
+          Harness.Registry.native
     in
     Option.iter
       (fun path ->
@@ -1453,7 +1407,7 @@ let telemetry_cmd =
     Obs.Sampler.clear ();
     Obs.Sampler.start ~period_ns:5_000_000 ();
     let (module Q : Core.Queue_intf.S) =
-      (List.hd Harness.Registry.native).Harness.Registry.queue
+      Option.get (Harness.Registry.find_native "ms").unbounded
     in
     let module I = Obs.Instrumented.Make (Q) in
     let q = I.create () in

@@ -132,3 +132,27 @@ module type BOUNDED = sig
       backing store physically cannot hold more than [capacity]
       items. *)
 end
+
+(** [Unbounded (Q)] views an unbounded queue as a {!BOUNDED} one: its
+    {!BOUNDED.capacity} is [max_int], its [try_enqueue] always enqueues
+    and returns [true], and its [create] ignores [?capacity].  With it
+    the bounded queue is the general object (as in Aksenov et al.,
+    arXiv 2104.15003): one registry entry type and one wrapper body per
+    concern, written over {!BOUNDED}, serve both kinds of queue.  A
+    consumer that needs a finite bound tests
+    [capacity q < max_int]. *)
+module Unbounded (Q : S) : BOUNDED with type 'a t = 'a Q.t = struct
+  type 'a t = 'a Q.t
+
+  let name = Q.name
+  let create ?capacity:_ () = Q.create ()
+  let capacity _ = max_int
+
+  let try_enqueue q v =
+    Q.enqueue q v;
+    true
+
+  let try_dequeue = Q.dequeue
+  let is_empty = Q.is_empty
+  let length = Q.length
+end

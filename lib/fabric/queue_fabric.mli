@@ -129,7 +129,7 @@ module type S = sig
 
   val drain_one : 'a t -> 'a option
   (** Raw single sweep from shard 0, outside the policy engines — for
-      drains and audits (cf. {!Resilience.Resilient.S.queue}). *)
+      drains and audits (cf. {!Resilience.Resilient.BOUNDED.queue}). *)
 
   val peek_any : 'a t -> 'a option
   (** Head of the first non-empty shard (sweep from 0), without

@@ -213,16 +213,15 @@ let slo_failure_points json =
       | _ -> None)
     (fabric_open_loop json)
 
-let min_schema = 2
-let max_schema = 8
+let schema = 8
 
 let of_json json =
   match Option.bind (opt_member "schema_version" json) Json.to_int_opt with
   | None -> Error "missing schema_version"
-  | Some v when v < min_schema || v > max_schema ->
+  | Some v when v <> schema ->
       Error
-        (Printf.sprintf "unsupported schema_version %d (supported: %d..%d)" v
-           min_schema max_schema)
+        (Printf.sprintf "unsupported schema_version %d (supported: %d)" v
+           schema)
   | Some v ->
       Ok
         {

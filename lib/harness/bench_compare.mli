@@ -2,10 +2,8 @@
 
     The testable core behind [msq_check bench-diff OLD NEW] (regression
     gate) and [msq_check bench-summary NEW] (GitHub step-summary
-    markdown).  Accepts schema versions 2 through 8 — older documents
-    simply lack the sections added later ([robustness], [batched],
-    [profile], [memory], [soak], [fabric], [timeline]) and compare on
-    what they have.
+    markdown).  Accepts schema version 8 only: the one document ever
+    compared against is the committed schema-8 baseline.
 
     The gate runs on the deterministic simulator metric
     ([net_per_pair], net cycles per enqueue/dequeue pair, lower is
@@ -25,7 +23,7 @@ type doc = {
       (** [queue name -> pairs_per_second]; higher is better *)
   memory : (string * float) list;
       (** [queue name -> bytes_per_element] from the schema-5 [memory]
-          section; lower is better.  Empty for older documents. *)
+          section; lower is better.  Empty without that section. *)
   p999 : (string * float) list;
       (** latency tails in ns, lower better: ["fabric/<load>" ->
           sojourn_p999_ns] from the schema-7 [fabric.open_loop] points

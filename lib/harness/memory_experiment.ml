@@ -75,63 +75,34 @@ type footprint = {
 
 let steady_pairs = 10_000
 
-(* [fill] loads [elements] items; [pair i] is one warm enqueue/dequeue
-   round trip (bounded queues dequeue first so the ring stays full). *)
-let measure ~name ~elements ~create ~fill ~pair =
+(* Fill to [elements] or to the first refusal (a bounded ring holds
+   what its enforced capacity allows), then churn dequeue-first so a
+   full ring stays full; an unbounded queue never refuses. *)
+let footprint (module Q : Core.Queue_intf.BOUNDED) ?(elements = 1024) () =
   let before = live_bytes () in
-  let q = create () in
+  let q = Q.create ~capacity:elements () in
   let baseline_bytes = live_bytes () - before in
-  fill q;
+  let n = ref 0 in
+  while !n < elements && Q.try_enqueue q !n do
+    incr n
+  done;
   let footprint_bytes = live_bytes () - before in
   let a0 = Gc.allocated_bytes () in
   for i = 1 to steady_pairs do
-    pair q i
+    ignore (Q.try_dequeue q);
+    ignore (Q.try_enqueue q i)
   done;
   let a1 = Gc.allocated_bytes () in
   ignore (Sys.opaque_identity q);
   {
-    queue = name;
-    elements;
+    queue = Q.name;
+    elements = !n;
     baseline_bytes;
     footprint_bytes;
     bytes_per_element =
-      float_of_int (footprint_bytes - baseline_bytes) /. float_of_int elements;
+      float_of_int (footprint_bytes - baseline_bytes) /. float_of_int !n;
     steady_words_per_pair =
       (a1 -. a0) /. float_of_int word_bytes /. float_of_int steady_pairs;
-  }
-
-let native_footprint (module Q : Core.Queue_intf.S) ?(elements = 1024) () =
-  measure ~name:Q.name ~elements
-    ~create:(fun () -> Q.create ())
-    ~fill:(fun q ->
-      for i = 1 to elements do
-        Q.enqueue q i
-      done)
-    ~pair:(fun q i ->
-      Q.enqueue q i;
-      ignore (Q.dequeue q))
-
-let bounded_footprint (module Q : Core.Queue_intf.BOUNDED) ?(capacity = 1024)
-    () =
-  let elements = ref 0 in
-  let r =
-    measure ~name:Q.name ~elements:0
-      ~create:(fun () -> Q.create ~capacity ())
-      ~fill:(fun q ->
-        (* fill to the enforced capacity, whatever the rounding *)
-        while Q.try_enqueue q !elements do
-          incr elements
-        done)
-      ~pair:(fun q i ->
-        ignore (Q.try_dequeue q);
-        ignore (Q.try_enqueue q i))
-  in
-  let n = !elements in
-  {
-    r with
-    elements = n;
-    bytes_per_element =
-      float_of_int (r.footprint_bytes - r.baseline_bytes) /. float_of_int n;
   }
 
 let pp_footprint fmt r =

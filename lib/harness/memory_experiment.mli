@@ -58,18 +58,15 @@ type footprint = {
           free-list/ring designs, one node for allocate-per-enqueue *)
 }
 
-val native_footprint :
-  (module Core.Queue_intf.S) -> ?elements:int -> unit -> footprint
-(** Default 1024 elements. *)
-
-val bounded_footprint :
-  (module Core.Queue_intf.BOUNDED) -> ?capacity:int -> unit -> footprint
-(** Creates at [capacity] (default 1024), fills to the enforced
-    capacity ([elements] reports how many fit), and churns the full
-    ring dequeue-first.  A bounded queue with no per-element
-    allocation keeps [footprint_bytes] within a small constant factor
-    of [baseline_bytes] — the SCQ acceptance bound (2x) is asserted in
-    the test suite. *)
+val footprint :
+  (module Core.Queue_intf.BOUNDED) -> ?elements:int -> unit -> footprint
+(** Creates at capacity [elements] (default 1024), fills to [elements]
+    or to the first refusal ([elements] in the result reports how many
+    fit), and churns dequeue-first.  An unbounded queue enters through
+    {!Core.Queue_intf.Unbounded} and never refuses.  A bounded queue
+    with no per-element allocation keeps [footprint_bytes] within a
+    small constant factor of [baseline_bytes] — the SCQ acceptance
+    bound (2x) is asserted in the test suite. *)
 
 val pp_footprint : Format.formatter -> footprint -> unit
 val footprint_json : footprint -> Obs.Json.t

@@ -33,70 +33,48 @@ let find key =
 (* ------------------------------------------------------------------ *)
 (* Native queues *)
 
-(* Queues that additionally satisfy [Queue_intf.BATCH].  Kept as a
-   separate table (rather than a flag on [native]) so callers get the
-   batch operations without a downcast.  Declared before [native_entry]
-   so that unannotated [{ key; queue }] patterns elsewhere keep
-   resolving to the (far more common) native entry type. *)
+type native_entry = {
+  key : string;
+  queue : (module Core.Queue_intf.BOUNDED);
+  unbounded : (module Core.Queue_intf.S) option;
+  batch : (module Core.Queue_intf.BATCH) option;
+}
 
-type batch_entry = { key : string; queue : (module Core.Queue_intf.BATCH) }
-
-let native_batch = [ { key = "segmented"; queue = (module Core.Segmented_queue) } ]
-
-let native_batch_keys = List.map (fun (e : batch_entry) -> e.key) native_batch
-
-let find_native_batch key =
-  match List.find_opt (fun (e : batch_entry) -> e.key = key) native_batch with
-  | Some e -> e.queue
-  | None ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf "unknown batch queue %S (available: %s)" key
-              (String.concat ", " native_batch_keys)))
-
-(* Bounded native queues: fixed capacity, try_enqueue/try_dequeue with
-   full/empty verdicts.  Disjoint from [native] — the generic unbounded
-   property suites assume enqueue cannot refuse.  Declared before
-   [native_entry] for the same reason as [batch_entry] above. *)
-
-type bounded_entry = { key : string; queue : (module Core.Queue_intf.BOUNDED) }
-
-let native_bounded = [ { key = "scq"; queue = (module Core.Scq_queue) } ]
-
-let native_bounded_keys =
-  List.map (fun (e : bounded_entry) -> e.key) native_bounded
-
-let find_native_bounded key =
-  match
-    List.find_opt (fun (e : bounded_entry) -> e.key = key) native_bounded
-  with
-  | Some e -> e.queue
-  | None ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf "unknown bounded queue %S (available: %s)" key
-              (String.concat ", " native_bounded_keys)))
-
-type native_entry = { key : string; queue : (module Core.Queue_intf.S) }
+let unbounded key (module Q : Core.Queue_intf.S) =
+  {
+    key;
+    queue = (module Core.Queue_intf.Unbounded (Q));
+    unbounded = Some (module Q);
+    batch = None;
+  }
 
 let native =
   [
-    { key = "ms"; queue = (module Core.Ms_queue) };
-    { key = "ms-counted"; queue = (module Core.Ms_queue_counted) };
-    { key = "ms-hp"; queue = (module Core.Ms_queue_hp) };
-    { key = "segmented"; queue = (module Core.Segmented_queue) };
-    { key = "two-lock"; queue = (module Core.Two_lock_queue) };
-    { key = "single-lock"; queue = (module Baselines.Single_lock_queue) };
-    { key = "mc"; queue = (module Baselines.Mc_queue) };
-    { key = "plj"; queue = (module Baselines.Plj_queue) };
-    { key = "fabric"; queue = (module Fabric.Queue_fabric.As_queue) };
+    unbounded "ms" (module Core.Ms_queue);
+    unbounded "ms-counted" (module Core.Ms_queue_counted);
+    unbounded "ms-hp" (module Core.Ms_queue_hp);
+    {
+      (unbounded "segmented" (module Core.Segmented_queue)) with
+      batch = Some (module Core.Segmented_queue);
+    };
+    unbounded "two-lock" (module Core.Two_lock_queue);
+    unbounded "single-lock" (module Baselines.Single_lock_queue);
+    unbounded "mc" (module Baselines.Mc_queue);
+    unbounded "plj" (module Baselines.Plj_queue);
+    unbounded "fabric" (module Fabric.Queue_fabric.As_queue);
+    {
+      key = "scq";
+      queue = (module Core.Scq_queue);
+      unbounded = None;
+      batch = None;
+    };
   ]
 
 let native_keys = List.map (fun e -> e.key) native
 
 let find_native key =
   match List.find_opt (fun e -> e.key = key) native with
-  | Some e -> e.queue
+  | Some e -> e
   | None ->
       raise
         (Invalid_argument

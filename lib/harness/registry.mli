@@ -30,46 +30,15 @@ val keys : string list
 
 (** {1 Native queues}
 
-    The OCaml 5 implementations in {!Core} and {!Baselines}, all
-    satisfying the unified {!Core.Queue_intf.S}. *)
-
-(** {2 Batch-capable native queues}
-
-    The subset of the native table that also satisfies
-    {!Core.Queue_intf.BATCH} ([enqueue_batch]/[dequeue_batch]); a
-    separate table so callers reach the batch operations without a
-    downcast.  Every entry's [key] also appears in {!native}.
-    (Declared before {!native_entry} so unannotated [{ key; queue }]
-    patterns over the native table keep resolving to it.) *)
-
-type batch_entry = { key : string; queue : (module Core.Queue_intf.BATCH) }
-
-val native_batch : batch_entry list
-
-val find_native_batch : string -> (module Core.Queue_intf.BATCH)
-(** Raises [Invalid_argument] with the available keys listed. *)
-
-val native_batch_keys : string list
-
-(** {2 Bounded native queues}
-
-    Fixed-capacity queues satisfying {!Core.Queue_intf.BOUNDED}
-    ([try_enqueue]/[try_dequeue] with full/empty verdicts).  A table
-    disjoint from {!native}: the generic unbounded property suites
-    assume enqueue cannot refuse.  (Also declared before
-    {!native_entry} so unannotated [{ key; queue }] patterns keep
-    resolving to the native entry type.) *)
-
-type bounded_entry = { key : string; queue : (module Core.Queue_intf.BOUNDED) }
-
-val native_bounded : bounded_entry list
-
-val find_native_bounded : string -> (module Core.Queue_intf.BOUNDED)
-(** Raises [Invalid_argument] with the available keys listed. *)
-
-val native_bounded_keys : string list
-
-(** {2 The native table}
+    The OCaml 5 implementations in {!Core}, {!Baselines} and {!Fabric},
+    one table for every capability.  Each entry's [queue] is its
+    {!Core.Queue_intf.BOUNDED} view — an unbounded queue enters through
+    {!Core.Queue_intf.Unbounded}, so its capacity is [max_int] and its
+    [try_enqueue] never refuses — and the optional capabilities ride
+    alongside: [unbounded] (the {!Core.Queue_intf.S} operations, [peek]
+    and a non-refusing [enqueue]) and [batch]
+    ({!Core.Queue_intf.BATCH}).  Iterate the table and pick the view a
+    consumer needs; a bounded ring ("scq", last) has only [queue].
 
     The "fabric" entry is [Fabric.Queue_fabric.As_queue] — segmented
     shards, domain-keyed routing — so every generic suite and wrapper
@@ -79,11 +48,16 @@ val native_bounded_keys : string list
     [Fabric.Queue_fabric.Single_key] instead (as [msq_check
     native-lin] does). *)
 
-type native_entry = { key : string; queue : (module Core.Queue_intf.S) }
+type native_entry = {
+  key : string;
+  queue : (module Core.Queue_intf.BOUNDED);
+  unbounded : (module Core.Queue_intf.S) option;
+  batch : (module Core.Queue_intf.BATCH) option;
+}
 
 val native : native_entry list
 
-val find_native : string -> (module Core.Queue_intf.S)
+val find_native : string -> native_entry
 (** Raises [Invalid_argument] with the available keys listed. *)
 
 val native_keys : string list

@@ -93,22 +93,7 @@ let n_rows = 128
 let row () = (Domain.self () :> int) land (n_rows - 1)
 
 (* ------------------------------------------------------------------ *)
-(* The queue under soak, reduced to closures so one core drives both the
-   unbounded ([Resilient.Make]) and the bounded ([Resilient.Make_bounded])
-   shapes. *)
-
-type driver = {
-  dname : string;
-  denq : int -> bool;  (* false = refused (bounded full path); retry *)
-  ddeq : unit -> (int, Resilience.Resilient.error) result;
-  ddrain : unit -> int option;  (* raw queue, outside the breaker *)
-  dlen : unit -> int;
-  dempty : unit -> bool;
-  dcap : int option;
-  dgauge : (unit -> int) option;
-  doutcomes : unit -> Resilience.Resilient.outcomes;
-  dp999 : unit -> int;  (* consumers' p999 dequeue latency, ns *)
-}
+(* Per-worker bookkeeping, read by the end-of-round audits. *)
 
 type slot = {
   mutable definite : int list;
@@ -124,363 +109,6 @@ let fresh_slot () =
 
 let hp_lag_bound = 1 lsl 16
 
-let soak_core d ~seed ~rounds ~producers ~consumers ~ops ~deadline_s
-    ~crash_mode =
-  let t_start = Unix.gettimeofday () in
-  (* the flight recorder rides along for the whole soak: if the run
-     dies, the black box holds every domain's last recorded moments *)
-  let flight_was_on = Obs.Flight.enabled () in
-  if not flight_was_on then Obs.Flight.enable ();
-  let rnd = rng_of seed in
-  let stop = Atomic.make false in
-  let expired = Atomic.make false in
-  let finished = Atomic.make false in
-  let arm = Array.make n_rows 0 in
-  let hp_ctr = Array.make n_rows 0 in
-  (* The composed site hook: watchdog escape hatch, crash countdowns,
-     stalled hazard-pointer readers, then the chaos delay itself. *)
-  let hook label =
-    if Atomic.get stop then raise Aborted;
-    Obs.Chaos.maybe_delay label;
-    (let r = row () in
-     let c = arm.(r) in
-     if c > 0 then begin
-       arm.(r) <- c - 1;
-       if c = 1 then raise (Crashed label)
-     end);
-    if String.length label >= 6 && String.sub label 0 6 = "msq-hp" then begin
-      let r = row () in
-      hp_ctr.(r) <- hp_ctr.(r) + 1;
-      (* every 64th hazard-pointer event, the reader stalls while still
-         holding its protection — reclamation must wait it out *)
-      if hp_ctr.(r) mod 64 = 0 then
-        for _ = 1 to 2_048 do
-          Domain.cpu_relax ()
-        done
-    end
-  in
-  let watchdog =
-    Domain.spawn (fun () ->
-        let rec loop () =
-          if Atomic.get finished then ()
-          else if Unix.gettimeofday () -. t_start > deadline_s then begin
-            Atomic.set expired true;
-            Atomic.set stop true
-          end
-          else begin
-            Unix.sleepf 0.02;
-            loop ()
-          end
-        in
-        loop ())
-  in
-  Obs.Chaos.reset_hits ();
-  let audit_failures = ref [] in
-  let fail round fmt =
-    Printf.ksprintf
-      (fun s ->
-        audit_failures := Printf.sprintf "round %d: %s" round s :: !audit_failures)
-      fmt
-  in
-  let agg_definite = ref 0
-  and agg_maybe = ref 0
-  and agg_got = ref 0
-  and agg_drained = ref 0
-  and agg_crashes = ref 0
-  and agg_restarts = ref 0
-  and agg_enq_crashes = ref 0
-  and agg_deq_crashes = ref 0
-  and hp_hw = ref (-1)
-  and rounds_done = ref 0 in
-  let body () =
-    for round = 0 to rounds - 1 do
-      if not (Atomic.get stop) then begin
-        (* alternate calm and storm chaos configurations, each round's
-           streams a pure function of the run seed and the round *)
-        let storm = round land 1 = 1 in
-        let cseed = mix64 (Int64.add seed (Int64.of_int (round + 1))) in
-        Obs.Chaos.configure ~seed:cseed
-          ~one_in:(if storm then 2 else 8)
-          ~max_delay:(if storm then 256 else 48)
-          ();
-        Locks.Backoff.reseed (mix64 cseed);
-        Obs.Chaos.enable ();
-        Locks.Probe.set_site_hook hook;
-        let stamp i k = (round * 100_000_000) + ((i + 1) * 1_000_000) + k in
-        let pslots = Array.init producers (fun _ -> fresh_slot ()) in
-        let cslots = Array.init consumers (fun _ -> fresh_slot ()) in
-        let remaining = Atomic.make producers in
-        let victim_p = rnd () mod producers in
-        let victim_c = rnd () mod consumers in
-        let countdown () = 1 + (rnd () mod max 1 (ops / 2)) in
-        let p_count = countdown () in
-        let c_count = countdown () in
-        let producer i () =
-          let slot = pslots.(i) in
-          let k = ref 0 in
-          let between =
-            ref
-              (match crash_mode with
-              | Between_ops when i = victim_p -> p_count
-              | _ -> max_int)
-          in
-          let rec attempt armed =
-            if armed > 0 then arm.(row ()) <- armed;
-            let inflight = ref (-1) in
-            match
-              while !k < ops do
-                if Atomic.get stop then raise Aborted;
-                decr between;
-                if !between = 0 then raise (Crashed "between-ops");
-                let s = stamp i !k in
-                inflight := s;
-                if d.denq s then begin
-                  slot.definite <- s :: slot.definite;
-                  inflight := -1;
-                  incr k
-                end
-                else inflight := -1 (* refused: retry the same value *)
-              done
-            with
-            | () -> ()
-            | exception Aborted -> ()
-            | exception Crashed _ ->
-                slot.s_crashes <- slot.s_crashes + 1;
-                (* a crash mid-enqueue: the value may or may not have been
-                   linked — the replacement must not retry it *)
-                if !inflight >= 0 then begin
-                  slot.maybe <- !inflight :: slot.maybe;
-                  incr k
-                end;
-                if not (Atomic.get stop) then begin
-                  slot.s_restarts <- slot.s_restarts + 1;
-                  Domain.join (Domain.spawn (fun () -> attempt 0))
-                end
-            | exception e ->
-                slot.err <- Some (Printexc.to_string e);
-                Atomic.set stop true
-          in
-          attempt
-            (match crash_mode with
-            | Mid_protocol when i = victim_p -> p_count
-            | _ -> 0);
-          Atomic.decr remaining
-        in
-        let consumer j () =
-          let slot = cslots.(j) in
-          let between =
-            ref
-              (match crash_mode with
-              | Between_ops when j = victim_c -> c_count
-              | _ -> max_int)
-          in
-          let rec attempt armed =
-            if armed > 0 then arm.(row ()) <- armed;
-            match
-              let running = ref true in
-              while !running do
-                if Atomic.get stop then running := false
-                else begin
-                  decr between;
-                  if !between = 0 then raise (Crashed "between-ops");
-                  match d.ddeq () with
-                  | Ok v -> slot.got <- v :: slot.got
-                  | Error _ ->
-                      if Atomic.get remaining = 0 && d.dempty () then
-                        running := false
-                      else Domain.cpu_relax ()
-                end
-              done
-            with
-            | () -> ()
-            | exception Aborted -> ()
-            | exception Crashed _ ->
-                slot.s_crashes <- slot.s_crashes + 1;
-                if not (Atomic.get stop) then begin
-                  slot.s_restarts <- slot.s_restarts + 1;
-                  Domain.join (Domain.spawn (fun () -> attempt 0))
-                end
-            | exception e ->
-                slot.err <- Some (Printexc.to_string e);
-                Atomic.set stop true
-          in
-          attempt
-            (match crash_mode with
-            | Mid_protocol when j = victim_c -> c_count
-            | _ -> 0)
-        in
-        let pdoms = Array.init producers (fun i -> Domain.spawn (producer i)) in
-        let cdoms = Array.init consumers (fun j -> Domain.spawn (consumer j)) in
-        Array.iter Domain.join pdoms;
-        Array.iter Domain.join cdoms;
-        Locks.Probe.clear_site_hook ();
-        Obs.Chaos.disable ();
-        Array.iter
-          (fun s ->
-            match s.err with
-            | Some e -> fail round "worker raised %s" e
-            | None -> ())
-          (Array.append pslots cslots);
-        if not (Atomic.get expired) then begin
-          (* bounded queues physically cannot exceed capacity *)
-          (match d.dcap with
-          | Some cap ->
-              let l = d.dlen () in
-              if l > cap then fail round "length %d exceeds capacity %d" l cap
-          | None -> ());
-          let drained = ref [] in
-          let rec dr () =
-            match d.ddrain () with
-            | Some v ->
-                drained := v :: !drained;
-                dr ()
-            | None -> ()
-          in
-          dr ();
-          (* ---- audits ---- *)
-          let definite =
-            Array.fold_left (fun acc s -> s.definite @ acc) [] pslots
-          in
-          let maybe = Array.fold_left (fun acc s -> s.maybe @ acc) [] pslots in
-          let consumed =
-            Array.fold_left (fun acc s -> s.got @ acc) [] cslots
-          in
-          let got = consumed @ !drained in
-          let deq_crashes_round =
-            Array.fold_left (fun acc s -> acc + s.s_crashes) 0 cslots
-          in
-          (* no duplicates *)
-          (match List.sort compare got with
-          | [] -> ()
-          | first :: rest ->
-              ignore
-                (List.fold_left
-                   (fun (prev, reported) v ->
-                     if v = prev && not reported then begin
-                       fail round "value %d consumed twice" v;
-                       (v, true)
-                     end
-                     else (v, reported))
-                   (first, false) rest));
-          (* everything consumed was produced *)
-          let produced_t = Hashtbl.create (List.length definite + 8) in
-          List.iter (fun s -> Hashtbl.replace produced_t s ()) definite;
-          List.iter (fun s -> Hashtbl.replace produced_t s ()) maybe;
-          (try
-             List.iter
-               (fun s ->
-                 if not (Hashtbl.mem produced_t s) then begin
-                   fail round "value %d consumed but never produced" s;
-                   raise Exit
-                 end)
-               got
-           with Exit -> ());
-          (* nothing lost beyond the dequeue-crash allowance *)
-          let got_t = Hashtbl.create (List.length got + 8) in
-          List.iter (fun s -> Hashtbl.replace got_t s ()) got;
-          let missing =
-            List.length (List.filter (fun s -> not (Hashtbl.mem got_t s)) definite)
-          in
-          if missing > deq_crashes_round then
-            fail round "%d enqueued values lost (> %d dequeue crashes)" missing
-              deq_crashes_round;
-          (* per-producer FIFO as observed by each consumer (and the
-             drain, which is one more sequential observer) *)
-          let check_fifo who lst =
-            let last = Hashtbl.create 8 in
-            let reported = ref false in
-            List.iter
-              (fun s ->
-                let p = s mod 100_000_000 / 1_000_000 in
-                let q = s mod 1_000_000 in
-                (match Hashtbl.find_opt last p with
-                | Some prev when prev >= q && not !reported ->
-                    fail round "%s saw producer %d out of order (%d after %d)"
-                      who p q prev;
-                    reported := true
-                | _ -> ());
-                Hashtbl.replace last p q)
-              lst
-          in
-          Array.iteri
-            (fun j s ->
-              check_fifo (Printf.sprintf "consumer %d" j) (List.rev s.got))
-            cslots;
-          check_fifo "drain" !drained;
-          (* drained to empty *)
-          let l = d.dlen () in
-          if l <> 0 then fail round "length %d after a full drain" l;
-          (* hazard-pointer reclamation lag stays bounded *)
-          (match d.dgauge with
-          | Some g ->
-              let lag = g () in
-              hp_hw := max !hp_hw lag;
-              if lag > hp_lag_bound then
-                fail round "hazard-pointer reclamation lag %d (> %d)" lag
-                  hp_lag_bound
-          | None -> ());
-          agg_definite := !agg_definite + List.length definite;
-          agg_maybe := !agg_maybe + List.length maybe;
-          agg_got := !agg_got + List.length consumed;
-          agg_drained := !agg_drained + List.length !drained;
-          let sum f arr = Array.fold_left (fun acc s -> acc + f s) 0 arr in
-          agg_enq_crashes := !agg_enq_crashes + sum (fun s -> s.s_crashes) pslots;
-          agg_deq_crashes := !agg_deq_crashes + deq_crashes_round;
-          agg_crashes :=
-            !agg_crashes
-            + sum (fun s -> s.s_crashes) pslots
-            + sum (fun s -> s.s_crashes) cslots;
-          agg_restarts :=
-            !agg_restarts
-            + sum (fun s -> s.s_restarts) pslots
-            + sum (fun s -> s.s_restarts) cslots;
-          incr rounds_done
-        end
-      end
-    done
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Locks.Probe.clear_site_hook ();
-      Obs.Chaos.disable ();
-      Atomic.set finished true;
-      Domain.join watchdog;
-      if not flight_was_on then Obs.Flight.disable ())
-    body;
-  (* a failed run is a major anomaly: dump the black box (if a dump
-     path is armed) before teardown disturbs anything further *)
-  (match List.rev !audit_failures with
-  | first :: _ ->
-      Obs.Flight.note_anomaly
-        ~reason:(Printf.sprintf "soak-audit:%s: %s" d.dname first)
-        ()
-  | [] ->
-      if Atomic.get expired then
-        Obs.Flight.note_anomaly ~reason:("soak-watchdog:" ^ d.dname) ());
-  {
-    queue = d.dname;
-    seed;
-    rounds = !rounds_done;
-    producers;
-    consumers;
-    ops;
-    enqueued = !agg_definite;
-    maybe_enqueued = !agg_maybe;
-    consumed = !agg_got;
-    drained = !agg_drained;
-    crashes = !agg_crashes;
-    restarts = !agg_restarts;
-    enq_crashes = !agg_enq_crashes;
-    deq_crashes = !agg_deq_crashes;
-    chaos_hits = Obs.Chaos.hits ();
-    hp_lag_high_water = !hp_hw;
-    deq_p999_ns = d.dp999 ();
-    outcomes = d.doutcomes ();
-    audit_failures = List.rev !audit_failures;
-    watchdog_expired = Atomic.get expired;
-    elapsed_s = Unix.gettimeofday () -. t_start;
-  }
-
 (* Soak-tuned resilience: tight deadlines and a hair-trigger breaker so
    a run actually visits every outcome the report attributes. *)
 let soak_config =
@@ -492,63 +120,370 @@ let soak_config =
     breaker_cooldown_ns = 50_000;
   }
 
-module Make (Q : Core.Queue_intf.S) = struct
-  module R = Resilience.Resilient.Make (Q)
-
-  let run ?gauge ?(rounds = 4) ?(producers = 2) ?(consumers = 2) ?(ops = 1_000)
-      ?(deadline_s = 60.) ?(crash_mode = Mid_protocol) ~seed () =
-    let q = Q.create () in
-    let rq = R.wrap ~config:soak_config q in
-    let d =
-      {
-        dname = Q.name;
-        denq =
-          (fun v ->
-            R.enqueue rq v;
-            true);
-        ddeq = (fun () -> R.dequeue rq);
-        ddrain = (fun () -> Q.dequeue q);
-        dlen = (fun () -> Q.length q);
-        dempty = (fun () -> Q.is_empty q);
-        dcap = None;
-        dgauge = Option.map (fun g () -> g q) gauge;
-        doutcomes = (fun () -> R.outcomes rq);
-        dp999 =
-          (fun () ->
-            Option.value ~default:0
-              (Obs.Histogram.p999 (R.metrics rq).Obs.Metrics.deq_latency));
-      }
-    in
-    soak_core d ~seed ~rounds ~producers ~consumers ~ops ~deadline_s ~crash_mode
-end
-
-module Make_bounded (B : Core.Queue_intf.BOUNDED) = struct
+module Make (B : Core.Queue_intf.BOUNDED) = struct
   module R = Resilience.Resilient.Make_bounded (B)
 
-  let run ?(capacity = 64) ?(rounds = 4) ?(producers = 2) ?(consumers = 2)
-      ?(ops = 1_000) ?(deadline_s = 60.) ?(crash_mode = Between_ops) ~seed () =
+  let run ?(capacity = 64) ?gauge ?(rounds = 4) ?(producers = 2)
+      ?(consumers = 2) ?(ops = 1_000) ?(deadline_s = 60.)
+      ?(crash_mode = Mid_protocol) ~seed () =
     let rq = R.create ~config:soak_config ~capacity () in
+    (* the raw queue, outside the breaker: end-of-round drain and audits *)
     let q = R.queue rq in
-    let d =
-      {
-        dname = B.name;
-        denq =
-          (fun v ->
-            match R.try_enqueue rq v with Ok () -> true | Error _ -> false);
-        ddeq = (fun () -> R.try_dequeue rq);
-        ddrain = (fun () -> B.try_dequeue q);
-        dlen = (fun () -> B.length q);
-        dempty = (fun () -> B.is_empty q);
-        dcap = Some (B.capacity q);
-        dgauge = None;
-        doutcomes = (fun () -> R.outcomes rq);
-        dp999 =
-          (fun () ->
-            Option.value ~default:0
-              (Obs.Histogram.p999 (R.metrics rq).Obs.Metrics.deq_latency));
-      }
+    let t_start = Unix.gettimeofday () in
+    (* the flight recorder rides along for the whole soak: if the run
+       dies, the black box holds every domain's last recorded moments *)
+    let flight_was_on = Obs.Flight.enabled () in
+    if not flight_was_on then Obs.Flight.enable ();
+    let rnd = rng_of seed in
+    let stop = Atomic.make false in
+    let expired = Atomic.make false in
+    let finished = Atomic.make false in
+    let arm = Array.make n_rows 0 in
+    let hp_ctr = Array.make n_rows 0 in
+    (* The composed site hook: watchdog escape hatch, crash countdowns,
+       stalled hazard-pointer readers, then the chaos delay itself. *)
+    let hook label =
+      if Atomic.get stop then raise Aborted;
+      Obs.Chaos.maybe_delay label;
+      (let r = row () in
+       let c = arm.(r) in
+       if c > 0 then begin
+         arm.(r) <- c - 1;
+         if c = 1 then raise (Crashed label)
+       end);
+      if String.length label >= 6 && String.sub label 0 6 = "msq-hp" then begin
+        let r = row () in
+        hp_ctr.(r) <- hp_ctr.(r) + 1;
+        (* every 64th hazard-pointer event, the reader stalls while still
+           holding its protection — reclamation must wait it out *)
+        if hp_ctr.(r) mod 64 = 0 then
+          for _ = 1 to 2_048 do
+            Domain.cpu_relax ()
+          done
+      end
     in
-    soak_core d ~seed ~rounds ~producers ~consumers ~ops ~deadline_s ~crash_mode
+    let watchdog =
+      Domain.spawn (fun () ->
+          let rec loop () =
+            if Atomic.get finished then ()
+            else if Unix.gettimeofday () -. t_start > deadline_s then begin
+              Atomic.set expired true;
+              Atomic.set stop true
+            end
+            else begin
+              Unix.sleepf 0.02;
+              loop ()
+            end
+          in
+          loop ())
+    in
+    Obs.Chaos.reset_hits ();
+    let audit_failures = ref [] in
+    let fail round fmt =
+      Printf.ksprintf
+        (fun s ->
+          audit_failures := Printf.sprintf "round %d: %s" round s :: !audit_failures)
+        fmt
+    in
+    let agg_definite = ref 0
+    and agg_maybe = ref 0
+    and agg_got = ref 0
+    and agg_drained = ref 0
+    and agg_crashes = ref 0
+    and agg_restarts = ref 0
+    and agg_enq_crashes = ref 0
+    and agg_deq_crashes = ref 0
+    and hp_hw = ref (-1)
+    and rounds_done = ref 0 in
+    let body () =
+      for round = 0 to rounds - 1 do
+        if not (Atomic.get stop) then begin
+          (* alternate calm and storm chaos configurations, each round's
+             streams a pure function of the run seed and the round *)
+          let storm = round land 1 = 1 in
+          let cseed = mix64 (Int64.add seed (Int64.of_int (round + 1))) in
+          Obs.Chaos.configure ~seed:cseed
+            ~one_in:(if storm then 2 else 8)
+            ~max_delay:(if storm then 256 else 48)
+            ();
+          Locks.Backoff.reseed (mix64 cseed);
+          Obs.Chaos.enable ();
+          Locks.Probe.set_site_hook hook;
+          let stamp i k = (round * 100_000_000) + ((i + 1) * 1_000_000) + k in
+          let pslots = Array.init producers (fun _ -> fresh_slot ()) in
+          let cslots = Array.init consumers (fun _ -> fresh_slot ()) in
+          let remaining = Atomic.make producers in
+          let victim_p = rnd () mod producers in
+          let victim_c = rnd () mod consumers in
+          let countdown () = 1 + (rnd () mod max 1 (ops / 2)) in
+          let p_count = countdown () in
+          let c_count = countdown () in
+          let producer i () =
+            let slot = pslots.(i) in
+            let k = ref 0 in
+            let between =
+              ref
+                (match crash_mode with
+                | Between_ops when i = victim_p -> p_count
+                | _ -> max_int)
+            in
+            let rec attempt armed =
+              if armed > 0 then arm.(row ()) <- armed;
+              let inflight = ref (-1) in
+              match
+                while !k < ops do
+                  if Atomic.get stop then raise Aborted;
+                  decr between;
+                  if !between = 0 then raise (Crashed "between-ops");
+                  let s = stamp i !k in
+                  inflight := s;
+                  match R.try_enqueue rq s with
+                  | Ok () ->
+                      slot.definite <- s :: slot.definite;
+                      inflight := -1;
+                      incr k
+                  | Error _ ->
+                      (* refused (full, or shed): retry the same value *)
+                      inflight := -1
+                done
+              with
+              | () -> ()
+              | exception Aborted -> ()
+              | exception Crashed _ ->
+                  slot.s_crashes <- slot.s_crashes + 1;
+                  (* a crash mid-enqueue: the value may or may not have been
+                     linked — the replacement must not retry it *)
+                  if !inflight >= 0 then begin
+                    slot.maybe <- !inflight :: slot.maybe;
+                    incr k
+                  end;
+                  if not (Atomic.get stop) then begin
+                    slot.s_restarts <- slot.s_restarts + 1;
+                    Domain.join (Domain.spawn (fun () -> attempt 0))
+                  end
+              | exception e ->
+                  slot.err <- Some (Printexc.to_string e);
+                  Atomic.set stop true
+            in
+            attempt
+              (match crash_mode with
+              | Mid_protocol when i = victim_p -> p_count
+              | _ -> 0);
+            Atomic.decr remaining
+          in
+          let consumer j () =
+            let slot = cslots.(j) in
+            let between =
+              ref
+                (match crash_mode with
+                | Between_ops when j = victim_c -> c_count
+                | _ -> max_int)
+            in
+            let rec attempt armed =
+              if armed > 0 then arm.(row ()) <- armed;
+              match
+                let running = ref true in
+                while !running do
+                  if Atomic.get stop then running := false
+                  else begin
+                    decr between;
+                    if !between = 0 then raise (Crashed "between-ops");
+                    match R.try_dequeue rq with
+                    | Ok v -> slot.got <- v :: slot.got
+                    | Error _ ->
+                        if Atomic.get remaining = 0 && B.is_empty q then
+                          running := false
+                        else Domain.cpu_relax ()
+                  end
+                done
+              with
+              | () -> ()
+              | exception Aborted -> ()
+              | exception Crashed _ ->
+                  slot.s_crashes <- slot.s_crashes + 1;
+                  if not (Atomic.get stop) then begin
+                    slot.s_restarts <- slot.s_restarts + 1;
+                    Domain.join (Domain.spawn (fun () -> attempt 0))
+                  end
+              | exception e ->
+                  slot.err <- Some (Printexc.to_string e);
+                  Atomic.set stop true
+            in
+            attempt
+              (match crash_mode with
+              | Mid_protocol when j = victim_c -> c_count
+              | _ -> 0)
+          in
+          let pdoms = Array.init producers (fun i -> Domain.spawn (producer i)) in
+          let cdoms = Array.init consumers (fun j -> Domain.spawn (consumer j)) in
+          Array.iter Domain.join pdoms;
+          Array.iter Domain.join cdoms;
+          Locks.Probe.clear_site_hook ();
+          Obs.Chaos.disable ();
+          Array.iter
+            (fun s ->
+              match s.err with
+              | Some e -> fail round "worker raised %s" e
+              | None -> ())
+            (Array.append pslots cslots);
+          if not (Atomic.get expired) then begin
+            (* bounded queues physically cannot exceed capacity *)
+            (let l = B.length q and cap = B.capacity q in
+             if l > cap then fail round "length %d exceeds capacity %d" l cap);
+            let drained = ref [] in
+            let rec dr () =
+              match B.try_dequeue q with
+              | Some v ->
+                  drained := v :: !drained;
+                  dr ()
+              | None -> ()
+            in
+            dr ();
+            (* ---- audits ---- *)
+            let definite =
+              Array.fold_left (fun acc s -> s.definite @ acc) [] pslots
+            in
+            let maybe = Array.fold_left (fun acc s -> s.maybe @ acc) [] pslots in
+            let consumed =
+              Array.fold_left (fun acc s -> s.got @ acc) [] cslots
+            in
+            let got = consumed @ !drained in
+            let deq_crashes_round =
+              Array.fold_left (fun acc s -> acc + s.s_crashes) 0 cslots
+            in
+            (* no duplicates *)
+            (match List.sort compare got with
+            | [] -> ()
+            | first :: rest ->
+                ignore
+                  (List.fold_left
+                     (fun (prev, reported) v ->
+                       if v = prev && not reported then begin
+                         fail round "value %d consumed twice" v;
+                         (v, true)
+                       end
+                       else (v, reported))
+                     (first, false) rest));
+            (* everything consumed was produced *)
+            let produced_t = Hashtbl.create (List.length definite + 8) in
+            List.iter (fun s -> Hashtbl.replace produced_t s ()) definite;
+            List.iter (fun s -> Hashtbl.replace produced_t s ()) maybe;
+            (try
+               List.iter
+                 (fun s ->
+                   if not (Hashtbl.mem produced_t s) then begin
+                     fail round "value %d consumed but never produced" s;
+                     raise Exit
+                   end)
+                 got
+             with Exit -> ());
+            (* nothing lost beyond the dequeue-crash allowance *)
+            let got_t = Hashtbl.create (List.length got + 8) in
+            List.iter (fun s -> Hashtbl.replace got_t s ()) got;
+            let missing =
+              List.length (List.filter (fun s -> not (Hashtbl.mem got_t s)) definite)
+            in
+            if missing > deq_crashes_round then
+              fail round "%d enqueued values lost (> %d dequeue crashes)" missing
+                deq_crashes_round;
+            (* per-producer FIFO as observed by each consumer (and the
+               drain, which is one more sequential observer) *)
+            let check_fifo who lst =
+              let last = Hashtbl.create 8 in
+              let reported = ref false in
+              List.iter
+                (fun s ->
+                  let p = s mod 100_000_000 / 1_000_000 in
+                  let q = s mod 1_000_000 in
+                  (match Hashtbl.find_opt last p with
+                  | Some prev when prev >= q && not !reported ->
+                      fail round "%s saw producer %d out of order (%d after %d)"
+                        who p q prev;
+                      reported := true
+                  | _ -> ());
+                  Hashtbl.replace last p q)
+                lst
+            in
+            Array.iteri
+              (fun j s ->
+                check_fifo (Printf.sprintf "consumer %d" j) (List.rev s.got))
+              cslots;
+            check_fifo "drain" !drained;
+            (* drained to empty *)
+            let l = B.length q in
+            if l <> 0 then fail round "length %d after a full drain" l;
+            (* hazard-pointer reclamation lag stays bounded *)
+            (match gauge with
+            | Some g ->
+                let lag = g q in
+                hp_hw := max !hp_hw lag;
+                if lag > hp_lag_bound then
+                  fail round "hazard-pointer reclamation lag %d (> %d)" lag
+                    hp_lag_bound
+            | None -> ());
+            agg_definite := !agg_definite + List.length definite;
+            agg_maybe := !agg_maybe + List.length maybe;
+            agg_got := !agg_got + List.length consumed;
+            agg_drained := !agg_drained + List.length !drained;
+            let sum f arr = Array.fold_left (fun acc s -> acc + f s) 0 arr in
+            agg_enq_crashes := !agg_enq_crashes + sum (fun s -> s.s_crashes) pslots;
+            agg_deq_crashes := !agg_deq_crashes + deq_crashes_round;
+            agg_crashes :=
+              !agg_crashes
+              + sum (fun s -> s.s_crashes) pslots
+              + sum (fun s -> s.s_crashes) cslots;
+            agg_restarts :=
+              !agg_restarts
+              + sum (fun s -> s.s_restarts) pslots
+              + sum (fun s -> s.s_restarts) cslots;
+            incr rounds_done
+          end
+        end
+      done
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Locks.Probe.clear_site_hook ();
+        Obs.Chaos.disable ();
+        Atomic.set finished true;
+        Domain.join watchdog;
+        if not flight_was_on then Obs.Flight.disable ())
+      body;
+    (* a failed run is a major anomaly: dump the black box (if a dump
+       path is armed) before teardown disturbs anything further *)
+    (match List.rev !audit_failures with
+    | first :: _ ->
+        Obs.Flight.note_anomaly
+          ~reason:(Printf.sprintf "soak-audit:%s: %s" B.name first)
+          ()
+    | [] ->
+        if Atomic.get expired then
+          Obs.Flight.note_anomaly ~reason:("soak-watchdog:" ^ B.name) ());
+    {
+      queue = B.name;
+      seed;
+      rounds = !rounds_done;
+      producers;
+      consumers;
+      ops;
+      enqueued = !agg_definite;
+      maybe_enqueued = !agg_maybe;
+      consumed = !agg_got;
+      drained = !agg_drained;
+      crashes = !agg_crashes;
+      restarts = !agg_restarts;
+      enq_crashes = !agg_enq_crashes;
+      deq_crashes = !agg_deq_crashes;
+      chaos_hits = Obs.Chaos.hits ();
+      hp_lag_high_water = !hp_hw;
+      deq_p999_ns =
+        Option.value ~default:0
+          (Obs.Histogram.p999 (R.metrics rq).Obs.Metrics.deq_latency);
+      outcomes = R.outcomes rq;
+      audit_failures = List.rev !audit_failures;
+      watchdog_expired = Atomic.get expired;
+      elapsed_s = Unix.gettimeofday () -. t_start;
+    }
 end
 
 (* Queues whose abandoned mid-protocol state no helper can repair get
@@ -556,7 +491,7 @@ end
    dequeuer forever, and an SCQ slot claimed but never filled wedges the
    ring — by design, not by bug.  PLJ carries no labeled probe sites, so
    between-ops is the only countdown that can fire there. *)
-let between_ops_keys = [ "mc"; "plj" ]
+let between_ops_keys = [ "mc"; "plj"; "scq" ]
 
 (* The fabric adapter routes by domain id, and a soak restart hands the
    replacement producer a fresh domain — so its enqueues land on a
@@ -571,40 +506,23 @@ let run_all ?keys ?rounds ?producers ?consumers ?ops ?deadline_s ~seed () =
     (not (List.mem key soak_excluded_keys))
     && match keys with None -> true | Some ks -> List.mem key ks
   in
-  let natives =
-    List.filter_map
-      (fun (e : Registry.native_entry) ->
-        if not (wanted e.key) then None
-        else if e.key = "ms-hp" then
-          let module S = Make (Core.Ms_queue_hp) in
-          Some
-            (S.run ~gauge:Core.Ms_queue_hp.pending_reclamation ?rounds
-               ?producers ?consumers ?ops ?deadline_s ~seed ())
-        else
-          let module Q = (val e.queue : Core.Queue_intf.S) in
-          let module S = Make (Q) in
-          let crash_mode =
-            if List.mem e.key between_ops_keys then Between_ops
-            else Mid_protocol
-          in
-          Some
-            (S.run ?rounds ?producers ?consumers ?ops ?deadline_s ~crash_mode
-               ~seed ()))
-      Registry.native
-  in
-  let bounded =
-    List.filter_map
-      (fun (e : Registry.bounded_entry) ->
-        if not (wanted e.key) then None
-        else
-          let module B = (val e.queue : Core.Queue_intf.BOUNDED) in
-          let module S = Make_bounded (B) in
-          Some
-            (S.run ?rounds ?producers ?consumers ?ops ?deadline_s
-               ~crash_mode:Between_ops ~seed ()))
-      Registry.native_bounded
-  in
-  natives @ bounded
+  List.filter_map
+    (fun (e : Registry.native_entry) ->
+      if not (wanted e.key) then None
+      else if e.key = "ms-hp" then
+        let module S = Make (Core.Queue_intf.Unbounded (Core.Ms_queue_hp)) in
+        Some
+          (S.run ~gauge:Core.Ms_queue_hp.pending_reclamation ?rounds ?producers
+             ?consumers ?ops ?deadline_s ~seed ())
+      else
+        let module S = Make ((val e.queue)) in
+        let crash_mode =
+          if List.mem e.key between_ops_keys then Between_ops else Mid_protocol
+        in
+        Some
+          (S.run ?rounds ?producers ?consumers ?ops ?deadline_s ~crash_mode
+             ~seed ()))
+    Registry.native
 
 (* ------------------------------------------------------------------ *)
 (* Planted-bug self-test: a queue that silently drops every 97th
@@ -628,7 +546,7 @@ module Broken_ms : Core.Queue_intf.S = struct
 end
 
 let self_test ~seed =
-  let module S = Make (Broken_ms) in
+  let module S = Make (Core.Queue_intf.Unbounded (Broken_ms)) in
   let r =
     S.run ~rounds:2 ~producers:2 ~consumers:2 ~ops:400 ~deadline_s:30. ~seed ()
   in

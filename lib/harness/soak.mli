@@ -16,9 +16,10 @@
     domain id, fresh hazard-pointer slots, fresh backoff/chaos streams,
     exactly like a worker restart in a serving system.
 
-    Consumers run through {!Resilience.Resilient}, so every deadline,
-    shed, rejection and breaker transition taken under the storm is
-    attributed and lands in the report's {!Resilience.Resilient.outcomes}.
+    Producers and consumers run through {!Resilience.Resilient}, so
+    every deadline, shed, rejection and breaker transition taken under
+    the storm is attributed and lands in the report's
+    {!Resilience.Resilient.outcomes}.
 
     Audits at the end of every round (after a full drain):
     - {b conservation} — no duplicates; nothing consumed that was never
@@ -98,27 +99,10 @@ val passed : report -> bool
 val report_json : report -> Obs.Json.t
 val pp_report : Format.formatter -> report -> unit
 
-module Make (Q : Core.Queue_intf.S) : sig
-  val run :
-    ?gauge:(int Q.t -> int) ->
-    ?rounds:int ->
-    ?producers:int ->
-    ?consumers:int ->
-    ?ops:int ->
-    ?deadline_s:float ->
-    ?crash_mode:crash_mode ->
-    seed:int64 ->
-    unit ->
-    report
-  (** Defaults: 4 rounds (calm/storm alternating), 2 producers, 2
-      consumers, 1,000 enqueues per producer per round, 60 s wall-clock
-      deadline, [Mid_protocol] crashes.  [?gauge] reads a reclamation
-      backlog from the queue at every end-of-round audit. *)
-end
-
-module Make_bounded (B : Core.Queue_intf.BOUNDED) : sig
+module Make (B : Core.Queue_intf.BOUNDED) : sig
   val run :
     ?capacity:int ->
+    ?gauge:(int B.t -> int) ->
     ?rounds:int ->
     ?producers:int ->
     ?consumers:int ->
@@ -128,10 +112,15 @@ module Make_bounded (B : Core.Queue_intf.BOUNDED) : sig
     seed:int64 ->
     unit ->
     report
-  (** As {!Make.run} over a bounded queue: a deliberately small
-      [?capacity] (default 64) keeps the queue bouncing off both the
-      full and the empty refusal paths, so producers exercise the
-      enqueue-side deadlines/shedding/breaker as well. *)
+  (** Defaults: capacity 64, 4 rounds (calm/storm alternating), 2
+      producers, 2 consumers, 1,000 enqueues per producer per round,
+      60 s wall-clock deadline, [Mid_protocol] crashes.  An unbounded
+      queue soaks as [Make (Core.Queue_intf.Unbounded (Q))], which
+      ignores [?capacity]; a bounded one keeps its deliberately small
+      capacity bouncing off both the full and the empty refusal paths,
+      so producers exercise the enqueue-side deadlines/shedding/breaker
+      as well.  [?gauge] reads a reclamation backlog from the queue at
+      every end-of-round audit. *)
 end
 
 val run_all :
@@ -144,11 +133,10 @@ val run_all :
   seed:int64 ->
   unit ->
   report list
-(** Every registered native queue ({!Registry.native}, then
-    {!Registry.native_bounded}), each with the crash mode its design
-    requires ([Between_ops] for ["mc"] and the bounded ring) and the
-    hazard-pointer gauge wired for ["ms-hp"].  [?keys] restricts to a
-    subset.  ["fabric"] is excluded even when asked for: its
+(** Every registered native queue ({!Registry.native}), each with the
+    crash mode its design requires ([Between_ops] for ["mc"], ["plj"]
+    and the bounded ring ["scq"]) and the hazard-pointer gauge wired
+    for ["ms-hp"].  [?keys] restricts to a subset.  ["fabric"] is excluded even when asked for: its
     domain-keyed routing makes per-producer FIFO a per-domain promise,
     which a restart's replacement domain deliberately breaks — its
     crash/restart coverage lives in {!Open_loop}. *)

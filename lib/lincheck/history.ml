@@ -7,8 +7,8 @@ type entry = { proc : int; op : op; start : int; finish : int }
 
 type t = entry list
 
-(* Entries go into per-proc buckets so recording needs no lock; only the
-   stamp counter is shared. *)
+(* Entries go into per-proc buckets (newest first) so recording needs
+   no lock; only the stamp counter is shared. *)
 type recorder = {
   stamp : int Atomic.t;
   buckets : (int, entry list ref) Hashtbl.t;
@@ -45,11 +45,18 @@ let record_many r ~proc f =
   let finish = Atomic.fetch_and_add r.stamp 1 in
   List.iter (fun op -> b := { proc; op; start; finish } :: !b) ops
 
+(* Oldest first, a batch's elements in batch order: the checker tries
+   operations in this order, so a sequential history linearizes on its
+   first path instead of exploring every wrong permutation of each
+   batch first.  The sort is stable, and reversing a bucket restores
+   batch order among entries sharing one start stamp. *)
 let history r =
   Mutex.lock r.buckets_lock;
-  let entries = Hashtbl.fold (fun _ b acc -> !b @ acc) r.buckets [] in
+  let entries =
+    Hashtbl.fold (fun _ b acc -> List.rev_append !b acc) r.buckets []
+  in
   Mutex.unlock r.buckets_lock;
-  entries
+  List.stable_sort (fun a b -> compare a.start b.start) entries
 
 let pp_op fmt = function
   | Enq v -> Format.fprintf fmt "enq %d" v

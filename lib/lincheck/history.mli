@@ -27,7 +27,8 @@ type op =
 type entry = { proc : int; op : op; start : int; finish : int }
 
 type t = entry list
-(** Unordered; the checker sorts as needed. *)
+(** Any order is a valid history; {!Checker.check} tries operations in
+    list order, so oldest-first histories check fastest. *)
 
 type recorder
 
@@ -51,8 +52,9 @@ val record_many : recorder -> proc:int -> (unit -> op list) -> unit
     dequeue in batch order — see [test/test_lincheck.ml]). *)
 
 val history : recorder -> t
-(** Collect all recorded entries.  Call only after the recorded
-    processes have finished. *)
+(** Collect all recorded entries, oldest first (by start stamp), each
+    {!record_many} batch's elements in batch order.  Call only after
+    the recorded processes have finished. *)
 
 val pp_op : Format.formatter -> op -> unit
 val pp_entry : Format.formatter -> entry -> unit

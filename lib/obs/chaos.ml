@@ -90,32 +90,18 @@ let with_enabled ?seed f =
   enable ();
   Fun.protect ~finally:(fun () -> if not was then disable ()) f
 
-module Make_unsealed (Q : Core.Queue_intf.S) = struct
-  type 'a t = 'a Q.t
+(* The wrappers' two delay sites: [enter] before every call into the
+   queue, [leave] on its way out.  The one perturbed body is
+   [Make_bounded]; [Make]/[Make_batch] apply it through
+   [Queue_intf.Unbounded] ('a t = 'a Q.t stays visible in this file;
+   the mli seals it) and delegate the rest. *)
+let enter () = maybe_delay "wrap.pre"
 
-  let name = Q.name ^ "+chaos"
-  let create = Q.create
+let leave r =
+  maybe_delay "wrap.post";
+  r
 
-  let enqueue q v =
-    maybe_delay "wrap.enqueue.pre";
-    Q.enqueue q v;
-    maybe_delay "wrap.enqueue.post"
-
-  let dequeue q =
-    maybe_delay "wrap.dequeue.pre";
-    let r = Q.dequeue q in
-    maybe_delay "wrap.dequeue.post";
-    r
-
-  let peek = Q.peek
-  let is_empty = Q.is_empty
-  let length = Q.length
-end
-
-module Make (Q : Core.Queue_intf.S) : Core.Queue_intf.S = Make_unsealed (Q)
-
-module Make_bounded (Q : Core.Queue_intf.BOUNDED) : Core.Queue_intf.BOUNDED =
-struct
+module Make_bounded (Q : Core.Queue_intf.BOUNDED) = struct
   type 'a t = 'a Q.t
 
   let name = Q.name ^ "+chaos"
@@ -123,32 +109,36 @@ struct
   let capacity = Q.capacity
 
   let try_enqueue q v =
-    maybe_delay "wrap.try_enqueue.pre";
-    let r = Q.try_enqueue q v in
-    maybe_delay "wrap.try_enqueue.post";
-    r
+    enter ();
+    leave (Q.try_enqueue q v)
 
   let try_dequeue q =
-    maybe_delay "wrap.try_dequeue.pre";
-    let r = Q.try_dequeue q in
-    maybe_delay "wrap.try_dequeue.post";
-    r
+    enter ();
+    leave (Q.try_dequeue q)
 
   let is_empty = Q.is_empty
   let length = Q.length
 end
 
+module Make_s (Q : Core.Queue_intf.S) = struct
+  include Make_bounded (Core.Queue_intf.Unbounded (Q))
+
+  let create () = Q.create ()
+  let enqueue q v = ignore (try_enqueue q v)
+  let dequeue = try_dequeue
+  let peek = Q.peek
+end
+
+module Make (Q : Core.Queue_intf.S) : Core.Queue_intf.S = Make_s (Q)
+
 module Make_batch (Q : Core.Queue_intf.BATCH) : Core.Queue_intf.BATCH = struct
-  include Make_unsealed (Q) (* 'a t = 'a Q.t stays visible here *)
+  include Make_s (Q)
 
   let enqueue_batch q vs =
-    maybe_delay "wrap.enqueue_batch.pre";
-    Q.enqueue_batch q vs;
-    maybe_delay "wrap.enqueue_batch.post"
+    enter ();
+    leave (Q.enqueue_batch q vs)
 
   let dequeue_batch q ~max =
-    maybe_delay "wrap.dequeue_batch.pre";
-    let r = Q.dequeue_batch q ~max in
-    maybe_delay "wrap.dequeue_batch.post";
-    r
+    enter ();
+    leave (Q.dequeue_batch q ~max)
 end

@@ -62,7 +62,9 @@ val maybe_delay : string -> unit
 
     For queues (or paths) without internal site marks, the functors
     perturb around every operation instead.  The wrapped queue is
-    observationally identical when chaos is disabled. *)
+    observationally identical when chaos is disabled.  One body,
+    [Make_bounded], holds the delay sites; [Make] and [Make_batch]
+    apply it through {!Core.Queue_intf.Unbounded} and only delegate. *)
 
 module Make (Q : Core.Queue_intf.S) : Core.Queue_intf.S
 module Make_batch (Q : Core.Queue_intf.BATCH) : Core.Queue_intf.BATCH

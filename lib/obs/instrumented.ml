@@ -42,54 +42,15 @@ let measured ~phase m latency f =
   if d.Locks.Probe.helps > 0 then Counter.add m.Metrics.helps d.Locks.Probe.helps;
   result
 
-(* The one application path shared by {!Make} and {!Make_batch} —
-   mirrors {!Chaos.Make_unsealed}.  The wrapper record stays visible
-   here so the batch extension can reach [t.q]/[t.m]; the exported
-   functors seal it. *)
-module Make_unsealed (Q : Core.Queue_intf.S) = struct
-  type 'a t = { q : 'a Q.t; m : Metrics.t }
-
-  let name = Q.name
-  let enq_phase = Q.name ^ ".enq"
-  let deq_phase = Q.name ^ ".deq"
-
-  let create () = { q = Q.create (); m = Metrics.create Q.name }
-
-  let metrics t = t.m
-
-  let enqueue t v =
-    if not (Control.enabled ()) then Q.enqueue t.q v
-    else begin
-      Counter.incr t.m.Metrics.enqueues;
-      measured ~phase:enq_phase t.m t.m.Metrics.enq_latency (fun () ->
-          Q.enqueue t.q v)
-    end
-
-  let dequeue t =
-    if not (Control.enabled ()) then Q.dequeue t.q
-    else begin
-      Counter.incr t.m.Metrics.dequeues;
-      let r =
-        measured ~phase:deq_phase t.m t.m.Metrics.deq_latency (fun () ->
-            Q.dequeue t.q)
-      in
-      if r = None then Counter.incr t.m.Metrics.empty_dequeues;
-      r
-    end
-
-  let peek t = Q.peek t.q
-  let is_empty t = Q.is_empty t.q
-  let length t = Q.length t.q
-end
-
-module Make (Q : Core.Queue_intf.S) : S = Make_unsealed (Q)
-
-(* The bounded wrapper: same latency/probe attribution as [Make], with
-   the verdicts counted — a refused try_enqueue is a [full_enqueues],
-   a [None] try_dequeue an [empty_dequeues].  Refusals still record a
-   latency sample: on a full ring the fq dequeue's ticket burns are
-   exactly the cost a caller pays to learn "full". *)
-module Make_bounded (Q : Core.Queue_intf.BOUNDED) : BOUNDED_S = struct
+(* The one instrumented body, written over [BOUNDED]: the verdicts
+   are counted — a refused try_enqueue is a [full_enqueues], a [None]
+   try_dequeue an [empty_dequeues].  Refusals still record a latency
+   sample: on a full ring the fq dequeue's ticket burns are exactly the
+   cost a caller pays to learn "full".  The wrapper record stays
+   visible in this file (the mli seals it) so [Make]/[Make_batch],
+   which apply the body through [Queue_intf.Unbounded], can reach
+   [t.q]/[t.m]. *)
+module Make_bounded (Q : Core.Queue_intf.BOUNDED) = struct
   type 'a t = { q : 'a Q.t; m : Metrics.t }
 
   let name = Q.name
@@ -129,15 +90,27 @@ module Make_bounded (Q : Core.Queue_intf.BOUNDED) : BOUNDED_S = struct
   let length t = Q.length t.q
 end
 
-(* The batch wrapper: the per-element operations are instrumented
-   exactly as in [Make]; each batch call is one latency sample in the
-   corresponding histogram (a batch's sample covers all its elements)
-   while the operation counters advance by the element count, keeping
-   "enqueues = elements enqueued" true across both APIs.  Probe deltas
+(* An unbounded queue is instrumented as its never-refusing [BOUNDED]
+   view; only the [S] operations the view lacks are delegated. *)
+module Make_s (Q : Core.Queue_intf.S) = struct
+  include Make_bounded (Core.Queue_intf.Unbounded (Q))
+
+  let create () = create ()
+  let enqueue t v = ignore (try_enqueue t v)
+  let dequeue = try_dequeue
+  let peek t = Q.peek t.q
+end
+
+module Make (Q : Core.Queue_intf.S) : S = Make_s (Q)
+
+(* The batch calls: each is one latency sample in the corresponding
+   histogram (a batch's sample covers all its elements) while the
+   operation counters advance by the element count, keeping "enqueues =
+   elements enqueued" true across both APIs.  Probe deltas
    (segment-transition CAS retries, poisoned-slot races) are attributed
    to the batch exactly as to a single operation. *)
 module Make_batch (Q : Core.Queue_intf.BATCH) : BATCH_S = struct
-  include Make_unsealed (Q) (* the wrapper record stays visible here *)
+  include Make_s (Q)
 
   let enq_batch_phase = Q.name ^ ".enq_batch"
   let deq_batch_phase = Q.name ^ ".deq_batch"

@@ -1,12 +1,16 @@
-(** [Make (Q)] wraps any native queue with operation metrics.
+(** Operation metrics for any native queue.
 
-    The wrapper satisfies the same {!Core.Queue_intf.S} signature (plus
-    a {!S.metrics} accessor), so it drops into every harness, benchmark
-    and test unchanged — the randomized FIFO tests run through it to
-    prove semantics are preserved.
+    One instrumented body, written over {!Core.Queue_intf.BOUNDED},
+    does all the counting and timing: {!Make_bounded} is that body, and
+    {!Make}/{!Make_batch} apply it to an unbounded queue through
+    {!Core.Queue_intf.Unbounded}, adding only the delegations their
+    signatures need.  Each wrapper satisfies its queue's own signature
+    (plus a [metrics] accessor), so it drops into every harness,
+    benchmark and test unchanged — the randomized FIFO tests run
+    through it to prove semantics are preserved.
 
     With metrics disabled ({!Control}) each operation is one branch plus
-    a delegating call; enabled, the wrapper records per-operation
+    delegating calls; enabled, the wrapper records per-operation
     latency (ns, monotonic clock) and attributes the {!Locks.Probe}
     events the wrapped operation emitted — failed-CAS retries, backoff
     spins, E12/D9 help-alongs — by differencing the calling domain's
@@ -42,12 +46,11 @@ module Make_batch (Q : Core.Queue_intf.BATCH) : BATCH_S
 
 (** {1 Bounded queues}
 
-    [Make_bounded (Q)] instruments a {!Core.Queue_intf.BOUNDED} queue:
-    latency and probe attribution as in [Make], with the verdicts
-    counted — a refused [try_enqueue] increments
-    {!Metrics.t.full_enqueues} (and still records a latency sample: the
-    cost of learning "full" is real work), a [None] [try_dequeue]
-    increments [empty_dequeues]. *)
+    [Make_bounded (Q)] instruments a {!Core.Queue_intf.BOUNDED} queue;
+    it is the body every functor here shares.  Verdicts are counted: a
+    refused [try_enqueue] increments {!Metrics.t.full_enqueues} (and
+    still records a latency sample: the cost of learning "full" is real
+    work), a [None] [try_dequeue] increments [empty_dequeues]. *)
 
 module type BOUNDED_S = sig
   include Core.Queue_intf.BOUNDED

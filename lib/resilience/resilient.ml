@@ -1,8 +1,9 @@
-(* The retry engine shared by both functors.  All breaker state is one
-   Atomic cell per field; the counters/histograms are the padded
-   per-domain Obs primitives, so feeding stats from every domain at
-   once causes no coherence storms.  The only clock is the monotonic
-   one — deadlines survive wall-clock adjustments. *)
+(* The retry engine behind [Make_bounded] and the fabric's shards.
+   All breaker state is one Atomic cell per field; the
+   counters/histograms are the padded per-domain Obs primitives, so
+   feeding stats from every domain at once causes no coherence storms.
+   The only clock is the monotonic one — deadlines survive wall-clock
+   adjustments. *)
 
 type policy = Fail_fast | Block_until of int | Shed
 
@@ -316,22 +317,6 @@ module Engine = struct
   let to_json t = rt_json t
 end
 
-module type S = sig
-  type 'a raw
-  type 'a t
-
-  val name : string
-  val create : ?config:config -> unit -> 'a t
-  val wrap : ?config:config -> 'a raw -> 'a t
-  val queue : 'a t -> 'a raw
-  val enqueue : 'a t -> 'a -> unit
-  val dequeue : 'a t -> ('a, error) result
-  val metrics : 'a t -> Obs.Metrics.t
-  val outcomes : 'a t -> outcomes
-  val breaker_state : 'a t -> [ `Enq | `Deq ] -> breaker_state
-  val to_json : 'a t -> Obs.Json.t
-end
-
 module type BOUNDED = sig
   type 'a raw
   type 'a t
@@ -347,36 +332,6 @@ module type BOUNDED = sig
   val outcomes : 'a t -> outcomes
   val breaker_state : 'a t -> [ `Enq | `Deq ] -> breaker_state
   val to_json : 'a t -> Obs.Json.t
-end
-
-module Make (Q : Core.Queue_intf.S) : S with type 'a raw = 'a Q.t = struct
-  type 'a raw = 'a Q.t
-  type 'a t = { q : 'a Q.t; rt : rt }
-
-  let name = Q.name ^ "+resilient"
-  let wrap ?(config = default) q = { q; rt = fresh_rt config name }
-  let create ?config () = wrap ?config (Q.create ())
-  let queue t = t.q
-
-  (* An unbounded enqueue cannot be refused, so it bypasses the
-     breaker/retry engine entirely: record and go. *)
-  let enqueue t v =
-    Locks.Probe.phase_begin "res.enq";
-    let t0 = now_ns () in
-    Q.enqueue t.q v;
-    Obs.Counter.incr t.rt.metrics.Obs.Metrics.enqueues;
-    Obs.Histogram.record t.rt.metrics.Obs.Metrics.enq_latency (now_ns () - t0);
-    Locks.Probe.phase_end "res.enq"
-
-  let dequeue t = run t.rt t.rt.deq_br Deq (fun () -> Q.dequeue t.q)
-  let metrics t = t.rt.metrics
-  let outcomes t = outcomes_of t.rt
-
-  let breaker_state t = function
-    | `Enq -> breaker_state_of t.rt.enq_br
-    | `Deq -> breaker_state_of t.rt.deq_br
-
-  let to_json t = rt_json t.rt
 end
 
 module Make_bounded (Q : Core.Queue_intf.BOUNDED) :

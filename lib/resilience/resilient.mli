@@ -1,8 +1,9 @@
 (** Resilience wrappers: bounded-time queue operations.
 
     The paper's progress claims are about {e steps}; a serving system
-    needs bounds in {e time}.  [Resilient.Make] / [Make_bounded] wrap
-    any queue from the registry with the standard availability kit:
+    needs bounds in {e time}.  [Resilient.Make_bounded] wraps any queue
+    from the registry — an unbounded one through
+    {!Core.Queue_intf.Unbounded} — with the standard availability kit:
 
     - {b per-op deadlines} — every retrying operation carries a
       monotonic-clock budget ([deadline_ns]) and returns
@@ -80,7 +81,7 @@ type outcomes = {
 
 val outcomes_json : outcomes -> Obs.Json.t
 
-(** The bare deadline/retry/breaker engine behind [Make]/[Make_bounded],
+(** The bare deadline/retry/breaker engine behind [Make_bounded],
     for composite structures that hold several independently-breaking
     policy stacks over attempt closures — notably one per shard in
     [Fabric.Queue_fabric].  [enqueue]/[dequeue] run one operation of
@@ -101,42 +102,24 @@ module Engine : sig
   val to_json : t -> Obs.Json.t
 end
 
-(** What [Make] yields: unbounded queues — enqueue cannot be refused,
-    so only dequeue carries the full resilience machinery. *)
-module type S = sig
-  type 'a raw
-  type 'a t
-
-  val name : string
-
-  val create : ?config:config -> unit -> 'a t
-  val wrap : ?config:config -> 'a raw -> 'a t
-  (** Wrap an existing queue (shared state, fresh stats/breaker). *)
-
-  val queue : 'a t -> 'a raw
-  (** The underlying queue — for draining/audits outside the breaker. *)
-
-  val enqueue : 'a t -> 'a -> unit
-  (** Unbounded enqueues cannot be refused; recorded, never rejected. *)
-
-  val dequeue : 'a t -> ('a, error) result
-
-  val metrics : 'a t -> Obs.Metrics.t
-  val outcomes : 'a t -> outcomes
-  val breaker_state : 'a t -> [ `Enq | `Deq ] -> breaker_state
-  val to_json : 'a t -> Obs.Json.t
-end
-
 (** What [Make_bounded] yields: both directions can refuse, so both
-    carry deadlines, retry budgets, shedding and a breaker. *)
+    carry deadlines, retry budgets, shedding and a breaker.  An
+    unbounded queue wraps as [Make_bounded (Core.Queue_intf.Unbounded
+    (Q))]: its enqueues take the same engine path and are never
+    refused. *)
 module type BOUNDED = sig
   type 'a raw
   type 'a t
 
   val name : string
   val create : ?config:config -> ?capacity:int -> unit -> 'a t
+
   val wrap : ?config:config -> 'a raw -> 'a t
+  (** Wrap an existing queue (shared state, fresh stats/breaker). *)
+
   val queue : 'a t -> 'a raw
+  (** The underlying queue — for draining/audits outside the breaker. *)
+
   val capacity : 'a t -> int
   val try_enqueue : 'a t -> 'a -> (unit, error) result
   val try_dequeue : 'a t -> ('a, error) result
@@ -146,5 +129,4 @@ module type BOUNDED = sig
   val to_json : 'a t -> Obs.Json.t
 end
 
-module Make (Q : Core.Queue_intf.S) : S with type 'a raw = 'a Q.t
 module Make_bounded (Q : Core.Queue_intf.BOUNDED) : BOUNDED with type 'a raw = 'a Q.t

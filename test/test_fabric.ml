@@ -173,7 +173,10 @@ let test_batch_and_producer () =
 (* Chaos-wrapped conservation through the registry adapter *)
 
 let test_chaos_conservation () =
-  let module C = Obs.Chaos.Make ((val Harness.Registry.find_native "fabric")) in
+  let (module Q) =
+    Option.get (Harness.Registry.find_native "fabric").Harness.Registry.unbounded
+  in
+  let module C = Obs.Chaos.Make (Q) in
   Obs.Chaos.with_enabled (fun () ->
       let q = C.create () in
       let n = 400 in
@@ -289,10 +292,9 @@ let test_open_loop_run_conservation () =
 (* ------------------------------------------------------------------ *)
 (* Bench_compare: the schema-7 fabric section *)
 
-let fabric_doc ?(schema = 7) ?(net8 = 50.) ?(p999 = 1_000_000)
-    ?(slo_ok = true) () =
+let fabric_doc ?(net8 = 50.) ?(p999 = 1_000_000) ?(slo_ok = true) () =
   Printf.sprintf
-    {|{"schema_version": %d, "pairs": 2000, "smoke": true,
+    {|{"schema_version": 8, "pairs": 2000, "smoke": true,
        "figures": [
          {"figure": 3, "series": [
            {"algorithm": "ms-nonblocking", "mpl": 1, "points": [
@@ -309,7 +311,7 @@ let fabric_doc ?(schema = 7) ?(net8 = 50.) ?(p999 = 1_000_000)
            {"load_label": "50k", "offered_per_sec": 50000.0,
             "sojourn_p999_ns": %d, "slo_p999_ns": 500000000,
             "slo_ok": %b}]}}|}
-    schema net8 p999 slo_ok
+    net8 p999 slo_ok
 
 let load s =
   match Harness.Bench_compare.of_string s with

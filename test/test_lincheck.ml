@@ -249,6 +249,24 @@ let qcheck_batch_sequential_lin =
         ops;
       Checker.check (History.history r) = Checker.Linearizable)
 
+(* History order: the checker tries operations in list order, so the
+   recorder must hand back oldest-first entries with each batch in
+   batch order.  Newest-first (batches reversed) sends the search
+   through every wrong permutation of each batch first and exhausts a
+   small budget on a trivially sequential history. *)
+let test_history_oldest_first () =
+  let r = History.create_recorder () in
+  for b = 0 to 2 do
+    History.record_many r ~proc:0 (fun () ->
+        List.init 5 (fun j -> History.Enq ((b * 5) + j)))
+  done;
+  for v = 0 to 14 do
+    History.record r ~proc:0 (fun () -> History.Deq (Some v))
+  done;
+  Alcotest.check verdict "found within 1000 configurations"
+    Checker.Linearizable
+    (Checker.check ~max_configs:1_000 (History.history r))
+
 (* 2-domain segmented batch workload: the over-approximated history
    (batch elements concurrent within their interval) must check out,
    and within every dequeued batch the elements of a single producer
@@ -587,6 +605,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_batch_sequential_lin;
         Alcotest.test_case "2-domain segmented batches" `Slow
           test_batch_two_domain_lin;
+        Alcotest.test_case "history oldest first, batches in order" `Quick
+          test_history_oldest_first;
       ] );
     ( "lincheck.properties",
       [

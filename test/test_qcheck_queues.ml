@@ -1,9 +1,9 @@
 (* Randomized property tests run generically over EVERY native queue in
-   Harness.Registry.native (and every batch-capable queue in
-   Harness.Registry.native_batch) — modeled on saturn's qcheck suites
-   for its Michael-Scott queue.  A queue registered in the registry is
-   picked up here with no edits, so the net tightens automatically as
-   queues are added.
+   Harness.Registry.native, through each capability its entry carries
+   (unbounded, batch, and the BOUNDED view every entry has) — modeled on
+   saturn's qcheck suites for its Michael-Scott queue.  A queue
+   registered in the registry is picked up here with no edits, so the
+   net tightens automatically as queues are added.
 
    Sequential properties (FIFO order, drain count, length consistency)
    compare against the obviously-correct Stdlib.Queue; the concurrent
@@ -11,20 +11,23 @@
    preservation with one producer and one consumer, and the documented
    [0, enqueues-started] bounds on the racy [length] snapshot. *)
 
-let natives =
-  List.map
-    (fun { Harness.Registry.key; queue } -> (key, queue))
+let capability f =
+  List.filter_map
+    (fun (e : Harness.Registry.native_entry) ->
+      Option.map (fun q -> (e.key, q)) (f e))
     Harness.Registry.native
 
-let batch_natives =
-  List.map
-    (fun (e : Harness.Registry.batch_entry) -> (e.key, e.queue))
-    Harness.Registry.native_batch
+let natives = capability (fun e -> e.unbounded)
+let batch_natives = capability (fun e -> e.batch)
 
+(* the queues with a finite capacity (no unbounded view), and each
+   unbounded queue's never-refusing BOUNDED view *)
 let bounded_natives =
-  List.map
-    (fun (e : Harness.Registry.bounded_entry) -> (e.key, e.queue))
-    Harness.Registry.native_bounded
+  capability (fun e ->
+      if Option.is_none e.unbounded then Some e.queue else None)
+
+let unbounded_views =
+  capability (fun e -> Option.map (fun _ -> e.queue) e.unbounded)
 
 (* ------------------------------------------------------------------ *)
 (* Sequential properties *)
@@ -147,7 +150,7 @@ let test_length_bounds key (module Q : Core.Queue_intf.S) () =
   Alcotest.(check int) (key ^ " settles to empty") 0 (Q.length q)
 
 (* ------------------------------------------------------------------ *)
-(* Batch properties (Registry.native_batch) *)
+(* Batch properties (entries with a [batch] capability) *)
 
 (* a random interleaving of batch and single operations matches the
    FIFO model *)
@@ -248,7 +251,8 @@ let prop_batch_two_domain key (module Q : Core.Queue_intf.BATCH) =
       List.rev !consumed = l && Q.is_empty q)
 
 (* ------------------------------------------------------------------ *)
-(* Bounded properties (Registry.native_bounded) *)
+(* Bounded properties (the BOUNDED views; refill and the length bound
+   need a finite capacity) *)
 
 (* feed a stream through a small ring: every accepted element comes out
    exactly once in FIFO order, every refused element is simply absent —
@@ -494,6 +498,7 @@ let suites =
   let map_q f = List.map (fun (key, q) -> f key q) natives in
   let map_b f = List.map (fun (key, q) -> f key q) batch_natives in
   let map_bd f = List.map (fun (key, q) -> f key q) bounded_natives in
+  let map_uv f = List.map (fun (key, q) -> f key q) unbounded_views in
   [
     ( "registry.fifo_order",
       map_q (fun k q -> QCheck_alcotest.to_alcotest (prop_fifo_order k q)) );
@@ -516,7 +521,9 @@ let suites =
             QCheck_alcotest.to_alcotest (prop_bounded_refill k q))
       @ map_bd (fun k q ->
             Alcotest.test_case (k ^ " 2-domain bound/conservation") `Slow
-              (test_bounded_contention k q)) );
+              (test_bounded_contention k q))
+      @ map_uv (fun k q ->
+            QCheck_alcotest.to_alcotest (prop_bounded_lossless k q)) );
     ( "registry.chaos",
       map_q (fun k q -> QCheck_alcotest.to_alcotest (prop_chaos_two_domain k q))
       @ map_b (fun k q ->
@@ -526,5 +533,8 @@ let suites =
       @ [
           Alcotest.test_case "delays were injected" `Quick
             chaos_injected_delays;
-        ] );
+        ]
+      @ map_uv (fun k q ->
+            QCheck_alcotest.to_alcotest (prop_chaos_bounded_conservation k q))
+    );
   ]

@@ -4,8 +4,15 @@
    Backoff reseeding). *)
 
 module R = Resilience.Resilient
-module RQ = R.Make (Core.Ms_queue)
+module RQ = R.Make_bounded (Core.Queue_intf.Unbounded (Core.Ms_queue))
 module RB = R.Make_bounded (Core.Scq_queue)
+
+(* An unbounded queue's enqueue goes through the engine too, and is
+   never refused. *)
+let enq t v =
+  match RQ.try_enqueue t v with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "unbounded enqueue refused: %s" (R.error_to_string e)
 
 (* A hair-trigger config so unit tests visit every outcome fast. *)
 let quick =
@@ -77,14 +84,14 @@ let test_backoff_reseed () =
 
 let test_fail_fast () =
   let t = RQ.create ~config:{ quick with R.policy = R.Fail_fast } () in
-  (match RQ.dequeue t with
+  (match RQ.try_dequeue t with
   | Error R.Rejected -> ()
   | Ok _ | Error _ -> Alcotest.fail "empty dequeue should fail fast");
   Alcotest.(check bool) "rejection counted" true ((RQ.outcomes t).R.rejections >= 1)
 
 let test_shed () =
   let t = RQ.create ~config:{ quick with R.max_retries = 2 } () in
-  (match RQ.dequeue t with
+  (match RQ.try_dequeue t with
   | Error R.Shedded -> ()
   | Ok _ | Error _ -> Alcotest.fail "empty dequeue should shed");
   Alcotest.(check bool) "shed counted" true ((RQ.outcomes t).R.sheds >= 1)
@@ -92,7 +99,7 @@ let test_shed () =
 let test_deadline () =
   (* unbounded retries: only the deadline can end the operation *)
   let t = RQ.create ~config:{ quick with R.max_retries = -1 } () in
-  (match RQ.dequeue t with
+  (match RQ.try_dequeue t with
   | Error R.Timed_out -> ()
   | Ok _ | Error _ -> Alcotest.fail "empty dequeue should time out");
   Alcotest.(check bool) "timeout counted" true ((RQ.outcomes t).R.timeouts >= 1)
@@ -105,7 +112,7 @@ let test_block_until () =
       ()
   in
   let t0 = Unix.gettimeofday () in
-  (match RQ.dequeue t with
+  (match RQ.try_dequeue t with
   | Error R.Timed_out -> ()
   | Ok _ | Error _ -> Alcotest.fail "blocking past the span should time out");
   Alcotest.(check bool) "actually blocked a while" true
@@ -113,8 +120,8 @@ let test_block_until () =
 
 let test_success_resets () =
   let t = RQ.create ~config:quick () in
-  RQ.enqueue t 42;
-  (match RQ.dequeue t with
+  enq t 42;
+  (match RQ.try_dequeue t with
   | Ok 42 -> ()
   | _ -> Alcotest.fail "value should come back");
   Alcotest.(check bool) "no outcome counted on success" true
@@ -128,15 +135,15 @@ let test_breaker_trip_and_recover () =
   Alcotest.(check bool) "starts closed" true (RQ.breaker_state t `Deq = R.Closed);
   (* three shed operations = three consecutive refusals: trips *)
   for _ = 1 to 3 do
-    ignore (RQ.dequeue t)
+    ignore (RQ.try_dequeue t)
   done;
   Alcotest.(check bool) "tripped open" true (RQ.breaker_state t `Deq = R.Open);
   Alcotest.(check int) "one trip counted" 1 (RQ.outcomes t).R.breaker_trips;
   (* after the cooldown a half-open probe is admitted; a successful
      probe closes the circuit *)
   Unix.sleepf 0.001;
-  RQ.enqueue t 7;
-  (match RQ.dequeue t with
+  enq t 7;
+  (match RQ.try_dequeue t with
   | Ok 7 -> ()
   | _ -> Alcotest.fail "half-open probe should succeed");
   Alcotest.(check bool) "recovered closed" true
@@ -147,12 +154,12 @@ let test_breaker_trip_and_recover () =
 let test_breaker_failed_probe_reopens () =
   let t = RQ.create ~config:quick () in
   for _ = 1 to 3 do
-    ignore (RQ.dequeue t)
+    ignore (RQ.try_dequeue t)
   done;
   Alcotest.(check bool) "tripped" true (RQ.breaker_state t `Deq = R.Open);
   Unix.sleepf 0.001;
   (* the probe finds the queue still empty: refused, breaker re-opens *)
-  (match RQ.dequeue t with
+  (match RQ.try_dequeue t with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "probe on an empty queue cannot succeed");
   Alcotest.(check bool) "re-opened" true (RQ.breaker_state t `Deq = R.Open);
@@ -198,9 +205,9 @@ let test_bounded_full_path () =
 
 let test_to_json () =
   let t = RQ.create ~config:quick () in
-  RQ.enqueue t 1;
-  ignore (RQ.dequeue t);
-  ignore (RQ.dequeue t);
+  enq t 1;
+  ignore (RQ.try_dequeue t);
+  ignore (RQ.try_dequeue t);
   let j = RQ.to_json t in
   (* round-trips through the parser and carries the outcome section *)
   let s = Obs.Json.to_string j in
@@ -219,12 +226,12 @@ let prop_wrapper_fifo =
     QCheck2.Gen.(list_size (int_range 0 200) int)
     (fun l ->
       let t = RQ.create () in
-      List.iter (RQ.enqueue t) l;
+      List.iter (enq t) l;
       let out =
         List.init (List.length l) (fun _ ->
-            match RQ.dequeue t with Ok v -> Some v | Error _ -> None)
+            match RQ.try_dequeue t with Ok v -> Some v | Error _ -> None)
       in
-      out = List.map Option.some l && RQ.dequeue t <> Ok 0)
+      out = List.map Option.some l && RQ.try_dequeue t <> Ok 0)
 
 let prop_wrapper_conservation_chaos =
   QCheck2.Test.make ~count:10
@@ -239,7 +246,7 @@ let prop_wrapper_conservation_chaos =
                 let got = ref [] in
                 let missing = ref n in
                 while !missing > 0 do
-                  match RQ.dequeue t with
+                  match RQ.try_dequeue t with
                   | Ok v ->
                       got := v :: !got;
                       decr missing
@@ -247,7 +254,7 @@ let prop_wrapper_conservation_chaos =
                 done;
                 List.rev !got)
           in
-          List.iter (RQ.enqueue t) l;
+          List.iter (enq t) l;
           let got = Domain.join consumer in
           (* single producer, single consumer: exact order *)
           got = l && RQ.queue t |> Core.Ms_queue.is_empty))

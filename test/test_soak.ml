@@ -60,8 +60,8 @@ let test_inject_requires_restart () =
 (* Native soak: deterministic smoke runs.  Small rounds/ops keep tier 1
    fast; the CI soak step and msq_check soak run the real thing. *)
 
-module Soak_ms = Harness.Soak.Make (Core.Ms_queue)
-module Soak_scq = Harness.Soak.Make_bounded (Core.Scq_queue)
+module Soak_ms = Harness.Soak.Make (Core.Queue_intf.Unbounded (Core.Ms_queue))
+module Soak_scq = Harness.Soak.Make (Core.Scq_queue)
 
 let smoke_seed = 0x54455354L
 
@@ -86,7 +86,7 @@ let test_soak_ms_smoke () =
 let test_soak_scq_smoke () =
   let r =
     Soak_scq.run ~capacity:32 ~rounds:2 ~ops:200 ~deadline_s:45.
-      ~seed:smoke_seed ()
+      ~crash_mode:Harness.Soak.Between_ops ~seed:smoke_seed ()
   in
   if not (Harness.Soak.passed r) then
     Alcotest.failf "scq soak failed: %a" Harness.Soak.pp_report r;
