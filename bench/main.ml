@@ -708,16 +708,18 @@ let timeline_section () =
         }
       ()
   in
+  (* metrics on, so the fabric dequeue engine's series get points *)
   let r =
-    Harness.Open_loop.run
-      ~config:
-        {
-          Harness.Open_loop.default with
-          seed = 0x7E1EL;
-          rate = 50_000.;
-          arrivals = (if smoke then 2_000 else 10_000);
-        }
-      fab
+    Obs.Control.with_enabled (fun () ->
+        Harness.Open_loop.run
+          ~config:
+            {
+              Harness.Open_loop.default with
+              seed = 0x7E1EL;
+              rate = 50_000.;
+              arrivals = (if smoke then 2_000 else 10_000);
+            }
+          fab)
   in
   Format.printf "  %a@." Harness.Open_loop.pp_result r;
   Obs.Sampler.stop ();

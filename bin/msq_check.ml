@@ -1435,16 +1435,18 @@ let telemetry_cmd =
           }
         ()
     in
+    (* metrics on, so the fabric dequeue engine's series get points *)
     let (_ : Harness.Open_loop.result) =
-      Harness.Open_loop.run
-        ~config:
-          {
-            Harness.Open_loop.default with
-            seed;
-            rate = 50_000.;
-            arrivals = 2_000;
-          }
-        fab
+      Obs.Control.with_enabled (fun () ->
+          Harness.Open_loop.run
+            ~config:
+              {
+                Harness.Open_loop.default with
+                seed;
+                rate = 50_000.;
+                arrivals = 2_000;
+              }
+            fab)
     in
     Obs.Sampler.stop ();
     let timeline = Obs.Sampler.timeline_json () in

@@ -176,7 +176,9 @@ module type S = sig
       shard's depth and enqueue breaker state (Closed=0, Half_open=1,
       Open=2; labelled [shard="i"]), and the dequeue engine's metrics —
       all named under [prefix] (default ["fabric"]) so a harness can
-      tear them down with one [Obs.Sampler.remove ~prefix]. *)
+      tear them down with one [Obs.Sampler.remove ~prefix].  The
+      engine's series move only while [Obs.Control] is enabled; the
+      depth and breaker gauges always do. *)
 
   val to_json : 'a t -> Obs.Json.t
 end

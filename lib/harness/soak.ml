@@ -91,6 +91,7 @@ let rng_of seed =
 
 let n_rows = 128
 let row () = (Domain.self () :> int) land (n_rows - 1)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* ------------------------------------------------------------------ *)
 (* Per-worker bookkeeping, read by the end-of-round audits. *)
@@ -127,6 +128,8 @@ module Make (B : Core.Queue_intf.BOUNDED) = struct
       ?(consumers = 2) ?(ops = 1_000) ?(deadline_s = 60.)
       ?(crash_mode = Mid_protocol) ~seed () =
     let rq = R.create ~config:soak_config ~capacity () in
+    (* timed here, not by the engine, whose metrics follow Obs.Control *)
+    let deq_latency = Obs.Histogram.create () in
     (* the raw queue, outside the breaker: end-of-round drain and audits *)
     let q = R.queue rq in
     let t_start = Unix.gettimeofday () in
@@ -288,8 +291,11 @@ module Make (B : Core.Queue_intf.BOUNDED) = struct
                   else begin
                     decr between;
                     if !between = 0 then raise (Crashed "between-ops");
+                    let c0 = now_ns () in
                     match R.try_dequeue rq with
-                    | Ok v -> slot.got <- v :: slot.got
+                    | Ok v ->
+                        Obs.Histogram.record deq_latency (now_ns () - c0);
+                        slot.got <- v :: slot.got
                     | Error _ ->
                         if Atomic.get remaining = 0 && B.is_empty q then
                           running := false
@@ -476,9 +482,7 @@ module Make (B : Core.Queue_intf.BOUNDED) = struct
       deq_crashes = !agg_deq_crashes;
       chaos_hits = Obs.Chaos.hits ();
       hp_lag_high_water = !hp_hw;
-      deq_p999_ns =
-        Option.value ~default:0
-          (Obs.Histogram.p999 (R.metrics rq).Obs.Metrics.deq_latency);
+      deq_p999_ns = Option.value ~default:0 (Obs.Histogram.p999 deq_latency);
       outcomes = R.outcomes rq;
       audit_failures = List.rev !audit_failures;
       watchdog_expired = Atomic.get expired;

@@ -82,8 +82,9 @@ type report = {
   hp_lag_high_water : int;
       (** worst end-of-round reclamation backlog; [-1] without a gauge *)
   deq_p999_ns : int;
-      (** the resilient consumers' 99.9th-percentile dequeue latency in
-          ns (0 when no dequeue completed) — the soak tail the
+      (** the consumers' 99.9th-percentile latency of a successful
+          resilient dequeue call, in ns, timed by the soak itself (0
+          when no dequeue completed) — the soak tail the
           {!Bench_compare} p999 gate watches *)
   outcomes : Resilience.Resilient.outcomes;
       (** timeouts/sheds/rejections/breaker transitions taken by the

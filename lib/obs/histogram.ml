@@ -14,15 +14,18 @@ type t = int array array (* rows.(domain_slot).(bucket); last cell = sum *)
 
 let create () = Array.init n_rows (fun _ -> Array.make row_width 0)
 
+(* Significant bits by a fixed binary search: six shift-and-test steps
+   whatever the value, so recording stays constant-time. *)
 let bucket_of v =
   if v <= 0 then 0
   else begin
-    let b = ref 0 in
-    let v = ref v in
-    while !v > 0 do
-      incr b;
-      v := !v lsr 1
-    done;
+    let b = ref 1 and v = ref v in
+    if !v lsr 32 <> 0 then (b := !b + 32; v := !v lsr 32);
+    if !v lsr 16 <> 0 then (b := !b + 16; v := !v lsr 16);
+    if !v lsr 8 <> 0 then (b := !b + 8; v := !v lsr 8);
+    if !v lsr 4 <> 0 then (b := !b + 4; v := !v lsr 4);
+    if !v lsr 2 <> 0 then (b := !b + 2; v := !v lsr 2);
+    if !v lsr 1 <> 0 then incr b;
     !b
   end
 

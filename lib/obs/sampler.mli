@@ -44,7 +44,9 @@ val register_metrics : ?prefix:string -> Metrics.t -> unit
 (** Register a queue's whole {!Metrics.t}: the operation and contention
     counters as rates, both latency histograms as windowed quantiles,
     all under [prefix] (default: the metrics' name) — removable in one
-    {!remove} call. *)
+    {!remove} call.  The series move only while {!Control} is enabled:
+    that is when {!Instrumented} wrappers and the resilience engine
+    feed a [Metrics.t]. *)
 
 val remove : prefix:string -> unit
 (** Stop sampling every source whose registered name starts with

@@ -3,7 +3,8 @@
    counters/histograms are the padded per-domain Obs primitives, so
    feeding stats from every domain at once causes no coherence storms.
    The only clock is the monotonic one — deadlines survive wall-clock
-   adjustments. *)
+   adjustments — and a first-try success reads it only while
+   [Obs.Control] is on. *)
 
 type policy = Fail_fast | Block_until of int | Shed
 
@@ -124,13 +125,15 @@ let rt_json rt =
 
 type kind = Enq | Deq
 
-(* One refusal observed: feed the direction counter and maybe trip the
-   breaker.  Trips count consecutive refused *attempts* (across all
+(* One refusal observed: count it (while metrics are on) and maybe trip
+   the breaker.  Trips count consecutive refused *attempts* (across all
    domains); any successful attempt resets the run. *)
-let note_refusal rt br kind =
-  (match kind with
-  | Enq -> Obs.Counter.incr rt.metrics.Obs.Metrics.full_enqueues
-  | Deq -> Obs.Counter.incr rt.metrics.Obs.Metrics.empty_dequeues);
+let note_refusal rt br kind ~timed =
+  if timed then begin
+    match kind with
+    | Enq -> Obs.Counter.incr rt.metrics.Obs.Metrics.full_enqueues
+    | Deq -> Obs.Counter.incr rt.metrics.Obs.Metrics.empty_dequeues
+  end;
   if rt.cfg.breaker_threshold > 0 then begin
     let seen = 1 + Atomic.fetch_and_add br.consecutive 1 in
     if
@@ -160,8 +163,10 @@ let reopen rt br =
       ()
   end
 
-let note_success rt br =
-  Atomic.set br.consecutive 0;
+(* A success on a slow path closes a half-open circuit.  The fast path
+   does not look: it saw the breaker closed, and a circuit that went
+   half-open during its single attempt is left to the probe. *)
+let recover rt br =
   if
     Atomic.get br.state = st_half
     && Atomic.compare_and_set br.state st_half st_closed
@@ -170,131 +175,165 @@ let note_success rt br =
     Locks.Probe.site "res.breaker.recover"
   end
 
+(* Every success ends the run of refusals.  The shared cell is written
+   only when there is a run to end, so a first-try success on a healthy
+   queue reads it and stores nothing.  The metrics are fed only when
+   the operation started with [Obs.Control] on ([timed]), and only then
+   was [t0] read. *)
+let succeed rt br kind ~timed ~t0 ~retries r =
+  if Atomic.get br.consecutive <> 0 then Atomic.set br.consecutive 0;
+  if timed then begin
+    Obs.Histogram.record rt.metrics.Obs.Metrics.retries_per_op retries;
+    let dt = now_ns () - t0 in
+    match kind with
+    | Enq ->
+        Obs.Counter.incr rt.metrics.Obs.Metrics.enqueues;
+        Obs.Histogram.record rt.metrics.Obs.Metrics.enq_latency dt
+    | Deq ->
+        Obs.Counter.incr rt.metrics.Obs.Metrics.dequeues;
+        Obs.Histogram.record rt.metrics.Obs.Metrics.deq_latency dt
+  end;
+  Ok r
+
+(* A terminal verdict: counted, marked at its probe site, and a failed
+   half-open probe re-opens the circuit. *)
+let refuse rt br ~probing err =
+  if probing then reopen rt br;
+  (match err with
+  | Timed_out ->
+      Obs.Counter.incr rt.c_timeouts;
+      Locks.Probe.site "res.timeout"
+  | Shedded ->
+      Obs.Counter.incr rt.c_sheds;
+      Locks.Probe.site "res.shed"
+  | Rejected ->
+      Obs.Counter.incr rt.c_rejections;
+      Locks.Probe.site "res.reject");
+  Error err
+
+let deadline_of rt start =
+  if rt.cfg.deadline_ns <= 0 then max_int else start + rt.cfg.deadline_ns
+
 type admission = Proceed | Probe | Deny
 
-(* Breaker gate.  While open and cooling: [Block_until] waits for the
-   cooldown (bounded by its span and the deadline), everything else is
-   denied outright.  Once cooled, exactly one caller wins the CAS to
-   half-open and proceeds as the probe; the rest stay denied until the
-   probe's outcome resolves the state. *)
-let admit rt br ~t0 ~deadline =
-  if rt.cfg.breaker_threshold <= 0 then Proceed
-  else
-    match Atomic.get br.state with
-    | 0 -> Proceed
-    | _ ->
-        let cooled () =
-          now_ns () - Atomic.get br.opened_at >= rt.cfg.breaker_cooldown_ns
-        in
-        let try_probe () =
-          if Atomic.compare_and_set br.state st_open st_half then Probe
-          else Deny
-        in
-        if Atomic.get br.state = st_half then Deny
-        else if cooled () then try_probe ()
-        else begin
-          match rt.cfg.policy with
-          | Block_until span ->
-              let limit = min deadline (t0 + span) in
-              let rec wait () =
-                if Atomic.get br.state = st_closed then Proceed
-                else if cooled () then try_probe ()
-                else if now_ns () >= limit then Deny
-                else begin
-                  Domain.cpu_relax ();
-                  wait ()
-                end
-              in
-              wait ()
-          | Fail_fast | Shed -> Deny
-        end
+(* Breaker gate, entered only when the breaker was not closed.  While
+   open and cooling: [Block_until] waits for the cooldown (bounded by
+   its span and the deadline, both running from [start]), everything
+   else is denied outright.  Once cooled, exactly one caller wins the
+   CAS to half-open and proceeds as the probe; the rest stay denied
+   until the probe's outcome resolves the state. *)
+let admit rt br ~start ~deadline =
+  match Atomic.get br.state with
+  | 0 -> Proceed
+  | _ ->
+      let cooled () =
+        now_ns () - Atomic.get br.opened_at >= rt.cfg.breaker_cooldown_ns
+      in
+      let try_probe () =
+        if Atomic.compare_and_set br.state st_open st_half then Probe else Deny
+      in
+      if Atomic.get br.state = st_half then Deny
+      else if cooled () then try_probe ()
+      else begin
+        match rt.cfg.policy with
+        | Block_until span ->
+            let limit = min deadline (start + span) in
+            let rec wait () =
+              if Atomic.get br.state = st_closed then Proceed
+              else if cooled () then try_probe ()
+              else if now_ns () >= limit then Deny
+              else begin
+                Domain.cpu_relax ();
+                wait ()
+              end
+            in
+            wait ()
+        | Fail_fast | Shed -> Deny
+      end
+
+(* Slow path one: the attempt at hand has just refused.  Back off and
+   retry until a success or a verdict, under a deadline (and a
+   [Block_until] span) running from [start] — the operation's first
+   refusal, or its first wait at a breaker that was not closed. *)
+let retry rt br kind attempt ~timed ~t0 ~start ~probing =
+  let deadline = deadline_of rt start in
+  let b =
+    Locks.Backoff.create ~initial:rt.cfg.backoff_initial
+      ~limit:rt.cfg.backoff_limit ()
+  in
+  let rec refused retries =
+    note_refusal rt br kind ~timed;
+    match rt.cfg.policy with
+    | Fail_fast -> refuse rt br ~probing Rejected
+    | _ when now_ns () >= deadline -> refuse rt br ~probing Timed_out
+    | Shed when rt.cfg.max_retries >= 0 && retries >= rt.cfg.max_retries ->
+        refuse rt br ~probing Shedded
+    | Block_until span when now_ns () >= min deadline (start + span) ->
+        refuse rt br ~probing Timed_out
+    | Shed | Block_until _ -> (
+        Locks.Backoff.once b;
+        match attempt () with
+        | Some r ->
+            recover rt br;
+            succeed rt br kind ~timed ~t0 ~retries:(retries + 1) r
+        | None -> refused (retries + 1))
+  in
+  refused 0
+
+(* Slow path two: the breaker was not closed when the operation
+   arrived.  The clock is read once, here.  Only a half-open probe
+   guards against dying mid-attempt (an injected crash): it must not
+   wedge the circuit half-open. *)
+let gated rt br kind attempt ~timed ~t0 =
+  let start = now_ns () in
+  let first ~probing =
+    match attempt () with
+    | Some r ->
+        recover rt br;
+        succeed rt br kind ~timed ~t0 ~retries:0 r
+    | None -> retry rt br kind attempt ~timed ~t0 ~start ~probing
+  in
+  match admit rt br ~start ~deadline:(deadline_of rt start) with
+  | Deny -> refuse rt br ~probing:false Rejected
+  | Proceed -> first ~probing:false
+  | Probe -> (
+      match first ~probing:true with
+      | r -> r
+      | exception e ->
+          reopen rt br;
+          raise e)
 
 let phase_label = function Enq -> "res.enq" | Deq -> "res.deq"
 
-(* The engine: breaker gate, then attempt/backoff/retry under the
-   deadline, with terminal outcomes counted and marked at probe sites.
-   [attempt] returns [None] on a refusal (empty dequeue / full bounded
-   enqueue) and must leave the queue unchanged in that case — exactly
-   the [try_*] contract. *)
+(* The engine.  [attempt] returns [None] on a refusal (empty dequeue /
+   full bounded enqueue) and must leave the queue unchanged in that
+   case — exactly the [try_*] contract.  The common case, a first
+   attempt that succeeds through a closed breaker, reads no clock while
+   metrics are off, allocates nothing but the [Ok] and writes no shared
+   cell; a refusal
+   or a breaker that is not closed takes a slow path above.  Whole
+   operations are bracketed in a phase that closes even when an
+   attempt raises. *)
 let run : type r. rt -> breaker -> kind -> (unit -> r option) -> (r, error) result
     =
  fun rt br kind attempt ->
-  Locks.Probe.phase_begin (phase_label kind);
-  let probing = ref false in
-  let body () =
-    let t0 = now_ns () in
-    let deadline =
-      if rt.cfg.deadline_ns <= 0 then max_int else t0 + rt.cfg.deadline_ns
-    in
-    let refuse err =
-      if !probing then reopen rt br;
-      (match err with
-      | Timed_out ->
-          Obs.Counter.incr rt.c_timeouts;
-          Locks.Probe.site "res.timeout"
-      | Shedded ->
-          Obs.Counter.incr rt.c_sheds;
-          Locks.Probe.site "res.shed"
-      | Rejected ->
-          Obs.Counter.incr rt.c_rejections;
-          Locks.Probe.site "res.reject");
-      Error err
-    in
-    match admit rt br ~t0 ~deadline with
-    | Deny -> refuse Rejected
-    | (Proceed | Probe) as adm ->
-        probing := adm = Probe;
-        let b =
-          Locks.Backoff.create ~initial:rt.cfg.backoff_initial
-            ~limit:rt.cfg.backoff_limit ()
-        in
-        let rec loop retries =
-          match attempt () with
-          | Some r ->
-              note_success rt br;
-              Obs.Histogram.record rt.metrics.Obs.Metrics.retries_per_op
-                retries;
-              let dt = now_ns () - t0 in
-              (match kind with
-              | Enq ->
-                  Obs.Counter.incr rt.metrics.Obs.Metrics.enqueues;
-                  Obs.Histogram.record rt.metrics.Obs.Metrics.enq_latency dt
-              | Deq ->
-                  Obs.Counter.incr rt.metrics.Obs.Metrics.dequeues;
-                  Obs.Histogram.record rt.metrics.Obs.Metrics.deq_latency dt);
-              Ok r
-          | None -> (
-              note_refusal rt br kind;
-              match rt.cfg.policy with
-              | Fail_fast -> refuse Rejected
-              | _ when now_ns () >= deadline -> refuse Timed_out
-              | Shed ->
-                  if rt.cfg.max_retries >= 0 && retries >= rt.cfg.max_retries
-                  then refuse Shedded
-                  else begin
-                    Locks.Backoff.once b;
-                    loop (retries + 1)
-                  end
-              | Block_until span ->
-                  if now_ns () >= min deadline (t0 + span) then
-                    refuse Timed_out
-                  else begin
-                    Locks.Backoff.once b;
-                    loop (retries + 1)
-                  end)
-        in
-        loop 0
-  in
-  match body () with
+  let label = phase_label kind in
+  Locks.Probe.phase_begin label;
+  let timed = Obs.Control.enabled () in
+  let t0 = if timed then now_ns () else 0 in
+  match
+    if Atomic.get br.state <> st_closed then gated rt br kind attempt ~timed ~t0
+    else
+      match attempt () with
+      | Some r -> succeed rt br kind ~timed ~t0 ~retries:0 r
+      | None ->
+          retry rt br kind attempt ~timed ~t0 ~start:(now_ns ()) ~probing:false
+  with
   | r ->
-      Locks.Probe.phase_end (phase_label kind);
+      Locks.Probe.phase_end label;
       r
   | exception e ->
-      (* the op died mid-protocol (e.g. an injected crash): a half-open
-         probe must not wedge the circuit, and the phase bracket must
-         still close *)
-      if !probing then reopen rt br;
-      Locks.Probe.phase_end (phase_label kind);
+      Locks.Probe.phase_end label;
       raise e
 
 (* The bare engine, for composite structures (the queue fabric) that

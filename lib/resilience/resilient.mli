@@ -7,7 +7,11 @@
 
     - {b per-op deadlines} — every retrying operation carries a
       monotonic-clock budget ([deadline_ns]) and returns
-      [Error Timed_out] instead of spinning past it;
+      [Error Timed_out] instead of spinning past it.  The budget runs
+      from the operation's first refusal, or its first wait at a
+      breaker that is not closed — as a timed [poll]/[offer] in
+      [java.util.concurrent] starts its timeout only when it must
+      wait — so an attempt that succeeds at once never starts it;
     - {b bounded retries with randomized exponential backoff} — each
       refusal (empty dequeue / full bounded enqueue) backs off through
       {!Locks.Backoff}, whose jitter comes from per-domain SplitMix64
@@ -24,26 +28,38 @@
       circuit.  Enqueue and dequeue directions trip independently — a
       drained queue must not reject the enqueues that would refill it.
 
-    Every outcome is attributed: successes/refusals/latencies/retries
-    feed an {!Obs.Metrics.t}, whole operations are bracketed in
-    ["res.enq"]/["res.deq"] phases and terminal outcomes marked at
-    ["res.timeout"|"res.shed"|"res.breaker.*"] probe sites (visible to
-    {!Obs.Profile} and perturbed by {!Obs.Chaos} like any other site),
-    and the breaker/shed totals are exposed as {!outcomes}. *)
+    Every outcome is attributed, always: the timeout/shed/rejection
+    and breaker totals are exposed as {!outcomes}, whole operations
+    are bracketed in ["res.enq"]/["res.deq"] phases and terminal
+    outcomes marked at ["res.timeout"|"res.shed"|"res.breaker.*"]
+    probe sites (visible to {!Obs.Profile} and perturbed by
+    {!Obs.Chaos} like any other site), and breaker trips are noted to
+    the flight recorder.  The per-operation statistics — op counts,
+    full/empty refusals, latencies, retries — feed an {!Obs.Metrics.t}
+    only while {!Obs.Control} is enabled, as {!Obs.Instrumented}'s do;
+    an operation records them only if it started with the switch on.
+    With the switch off, a first attempt that succeeds through a
+    closed breaker therefore costs one switch load, one breaker-state
+    load, the attempt, one read of the breaker's refusal run and the
+    [Ok]: no clock read, no other allocation, no shared store. *)
 
 type policy =
   | Fail_fast  (** return [Error Rejected] on the first refusal *)
   | Block_until of int
-      (** keep retrying a refused op up to this many ns (capped by the
-          deadline); on expiry, [Error Timed_out].  [max_retries] does
-          not apply — blocking is bounded by time, not attempts. *)
+      (** keep retrying a refused op up to this many ns from its first
+          refusal, or from its first wait at a breaker that is not
+          closed (capped by the deadline); on expiry,
+          [Error Timed_out].  [max_retries] does not apply — blocking
+          is bounded by time, not attempts. *)
   | Shed
       (** retry within [max_retries]/deadline, then drop the work with
           [Error Shedded] *)
 
 type config = {
   deadline_ns : int;
-      (** per-operation monotonic budget; [<= 0] means no deadline *)
+      (** per-operation monotonic budget, running from the first
+          refusal (or the first wait at a breaker that is not closed);
+          [<= 0] means no deadline *)
   max_retries : int;
       (** attempts after the first before a [Shed] verdict; [< 0] means
           unbounded (the deadline still applies) *)
@@ -87,8 +103,9 @@ val outcomes_json : outcomes -> Obs.Json.t
     [Fabric.Queue_fabric].  [enqueue]/[dequeue] run one operation of
     that direction: the attempt returns [None] on a refusal (full/empty)
     and must leave the structure unchanged in that case, exactly the
-    [try_*] contract.  Outcomes, latencies and retries feed the
-    engine's own {!Obs.Metrics.t} under [name]. *)
+    [try_*] contract.  Outcomes are always counted; op counts,
+    latencies and retries feed the engine's own {!Obs.Metrics.t} under
+    [name] only while {!Obs.Control} is enabled. *)
 module Engine : sig
   type t
 

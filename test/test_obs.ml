@@ -98,7 +98,26 @@ let test_histogram_buckets () =
         true
         (Obs.Histogram.lower_bound b <= max v 0
         && max v 0 <= Obs.Histogram.upper_bound b))
-    [ 0; 1; 2; 7; 8; 100; 4095; 4096; 123_456_789 ]
+    [ 0; 1; 2; 7; 8; 100; 4095; 4096; 123_456_789 ];
+  (* the shift cascade agrees with counting bits one at a time, at
+     every power-of-two edge *)
+  let reference v =
+    let rec bits n v = if v = 0 then n else bits (n + 1) (v lsr 1) in
+    if v <= 0 then 0 else bits 0 v
+  in
+  let edges =
+    List.concat_map
+      (fun k ->
+        let p = 1 lsl k in
+        [ p - 1; p; p + 1 ])
+      (List.init (Sys.int_size - 1) Fun.id)
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check int)
+        (Printf.sprintf "bucket_of %d" v)
+        (reference v) (Obs.Histogram.bucket_of v))
+    ([ 0; -1; -5; min_int; max_int ] @ edges)
 
 let test_histogram_record_and_merge () =
   let h = Obs.Histogram.create () in

@@ -127,8 +127,163 @@ let test_success_resets () =
   Alcotest.(check bool) "no outcome counted on success" true
     ((RQ.outcomes t).R.sheds = 0 && (RQ.outcomes t).R.timeouts = 0)
 
+let test_deadline_from_first_refusal () =
+  (* the budget starts at the first refusal: a slow first attempt does
+     not use it up *)
+  let e =
+    R.Engine.create
+      ~config:{ quick with R.deadline_ns = 5_000_000; R.max_retries = -1 }
+      ~name:"deadline" ()
+  in
+  let calls = ref 0 in
+  let slow_then_ready () =
+    incr calls;
+    if !calls = 1 then begin
+      Unix.sleepf 0.02;
+      None
+    end
+    else Some ()
+  in
+  (match R.Engine.enqueue e slow_then_ready with
+  | Ok () -> ()
+  | Error err ->
+      Alcotest.failf "retry after a slow refusal failed: %s"
+        (R.error_to_string err));
+  Alcotest.(check int) "refused once, then succeeded" 2 !calls
+
+(* ------------------------------------------------------------------ *)
+(* The engine's cost and its switch: a first-try success allocates
+   only its [Ok]; the metrics follow [Obs.Control], the outcomes do
+   not *)
+
+let pairs = 10_000
+
+let minor_words_per_pair enq deq =
+  let w0 = Gc.minor_words () in
+  for i = 1 to pairs do
+    enq i;
+    deq ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int pairs
+
+let test_first_try_allocation () =
+  Alcotest.(check bool) "metrics off" false (Obs.Control.enabled ());
+  let bare = Core.Scq_queue.create () in
+  let bare_words =
+    minor_words_per_pair
+      (fun i -> ignore (Core.Scq_queue.try_enqueue bare i))
+      (fun () -> ignore (Core.Scq_queue.try_dequeue bare))
+  in
+  let t = RB.create () in
+  let wrapped_words =
+    minor_words_per_pair
+      (fun i ->
+        match RB.try_enqueue t i with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "enqueue refused")
+      (fun () ->
+        match RB.try_dequeue t with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.fail "dequeue refused")
+  in
+  let extra = wrapped_words -. bare_words in
+  if extra > 20. then
+    Alcotest.failf "engine allocates %.1f minor words per pair (> 20)" extra
+
+let run_pairs t n =
+  for i = 1 to n do
+    ignore (RB.try_enqueue t i);
+    ignore (RB.try_dequeue t)
+  done
+
+let op_counts t =
+  let m = RB.metrics t in
+  Obs.
+    [
+      Counter.value m.Metrics.enqueues;
+      Counter.value m.Metrics.dequeues;
+      Histogram.count m.Metrics.enq_latency;
+      Histogram.count m.Metrics.deq_latency;
+    ]
+
+let test_metrics_follow_control () =
+  let n = 100 in
+  let off = RB.create () in
+  run_pairs off n;
+  Alcotest.(check (list int)) "metrics off: nothing recorded" [ 0; 0; 0; 0 ]
+    (op_counts off);
+  let ff = RB.create ~config:{ quick with R.policy = R.Fail_fast } () in
+  (match RB.try_dequeue ff with
+  | Error R.Rejected -> ()
+  | Ok _ | Error _ -> Alcotest.fail "empty dequeue should fail fast");
+  Alcotest.(check int) "outcomes stay on" 1 (RB.outcomes ff).R.rejections;
+  let on = RB.create () in
+  Obs.Control.with_enabled (fun () -> run_pairs on n);
+  Alcotest.(check (list int)) "metrics on: every op recorded" [ n; n; n; n ]
+    (op_counts on)
+
+let test_straddling_op_records_nothing () =
+  let e = R.Engine.create ~name:"straddle" () in
+  Fun.protect ~finally:Obs.Control.disable (fun () ->
+      match
+        R.Engine.enqueue e (fun () ->
+            Obs.Control.enable ();
+            Some ())
+      with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "enqueue refused");
+  let m = R.Engine.metrics e in
+  Alcotest.(check int) "no latency sample" 0
+    (Obs.Histogram.count m.Obs.Metrics.enq_latency);
+  Alcotest.(check int) "no op counted" 0
+    (Obs.Counter.value m.Obs.Metrics.enqueues)
+
+let test_raising_attempt () =
+  (* the phase bracket closes on the fast path and on a half-open
+     probe, and a probe that dies re-opens the circuit *)
+  let depth = ref 0 in
+  Locks.Probe.set_phase_hook (fun ~enter label ->
+      if label = "res.deq" then depth := !depth + if enter then 1 else -1);
+  Fun.protect ~finally:Locks.Probe.clear_phase_hook (fun () ->
+      let e = R.Engine.create ~config:quick ~name:"raise" () in
+      let boom () = failwith "boom" in
+      (match R.Engine.dequeue e boom with
+      | _ -> Alcotest.fail "the attempt's exception must propagate"
+      | exception Failure _ -> ());
+      Alcotest.(check int) "phase closed (fast path)" 0 !depth;
+      for _ = 1 to 3 do
+        ignore (R.Engine.dequeue e (fun () -> None))
+      done;
+      Alcotest.(check bool) "tripped" true
+        (R.Engine.breaker_state e `Deq = R.Open);
+      Unix.sleepf 0.001;
+      (match R.Engine.dequeue e boom with
+      | _ -> Alcotest.fail "the probe's exception must propagate"
+      | exception Failure _ -> ());
+      Alcotest.(check int) "phase closed (probe)" 0 !depth;
+      Alcotest.(check bool) "dead probe re-opens" true
+        (R.Engine.breaker_state e `Deq = R.Open))
+
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker: trip, reject while open, half-open probe, recover *)
+
+let test_success_ends_refusal_run () =
+  (* refusals trip only when consecutive: a success in between resets
+     the run *)
+  let t = RQ.create ~config:{ quick with R.policy = R.Fail_fast } () in
+  let refuse () = ignore (RQ.try_dequeue t) in
+  refuse ();
+  refuse ();
+  enq t 1;
+  (match RQ.try_dequeue t with
+  | Ok 1 -> ()
+  | _ -> Alcotest.fail "value should come back");
+  refuse ();
+  refuse ();
+  Alcotest.(check bool) "still closed" true (RQ.breaker_state t `Deq = R.Closed);
+  refuse ();
+  Alcotest.(check bool) "third consecutive refusal trips" true
+    (RQ.breaker_state t `Deq = R.Open)
 
 let test_breaker_trip_and_recover () =
   let t = RQ.create ~config:quick () in
@@ -271,6 +426,18 @@ let suites =
         Alcotest.test_case "deadline times out" `Quick test_deadline;
         Alcotest.test_case "block-until span" `Quick test_block_until;
         Alcotest.test_case "success leaves no outcome" `Quick test_success_resets;
+        Alcotest.test_case "deadline runs from the first refusal" `Quick
+          test_deadline_from_first_refusal;
+        Alcotest.test_case "first-try success allocates only Ok" `Quick
+          test_first_try_allocation;
+        Alcotest.test_case "metrics follow Obs.Control" `Quick
+          test_metrics_follow_control;
+        Alcotest.test_case "straddling op records nothing" `Quick
+          test_straddling_op_records_nothing;
+        Alcotest.test_case "raising attempt closes its phase" `Quick
+          test_raising_attempt;
+        Alcotest.test_case "success ends the refusal run" `Quick
+          test_success_ends_refusal_run;
         Alcotest.test_case "breaker trip + recover" `Quick
           test_breaker_trip_and_recover;
         Alcotest.test_case "failed probe re-opens" `Quick

@@ -65,6 +65,11 @@ module Soak_scq = Harness.Soak.Make (Core.Scq_queue)
 
 let smoke_seed = 0x54455354L
 
+(* The dequeue tail is measured whenever a consumer got anything. *)
+let check_deq_tail (r : Harness.Soak.report) =
+  if r.consumed > 0 then
+    Alcotest.(check bool) "deq_p999_ns measured" true (r.deq_p999_ns > 0)
+
 let test_soak_ms_smoke () =
   let r = Soak_ms.run ~rounds:2 ~ops:200 ~deadline_s:45. ~seed:smoke_seed () in
   if not (Harness.Soak.passed r) then
@@ -81,7 +86,8 @@ let test_soak_ms_smoke () =
   Alcotest.(check bool) "output bounded above" true
     (out <= r.Harness.Soak.enqueued + r.Harness.Soak.maybe_enqueued);
   Alcotest.(check bool) "output bounded below" true
-    (out >= r.Harness.Soak.enqueued - r.Harness.Soak.deq_crashes)
+    (out >= r.Harness.Soak.enqueued - r.Harness.Soak.deq_crashes);
+  check_deq_tail r
 
 let test_soak_scq_smoke () =
   let r =
@@ -91,7 +97,8 @@ let test_soak_scq_smoke () =
   if not (Harness.Soak.passed r) then
     Alcotest.failf "scq soak failed: %a" Harness.Soak.pp_report r;
   Alcotest.(check bool) "crashes were injected" true
-    (r.Harness.Soak.crashes > 0)
+    (r.Harness.Soak.crashes > 0);
+  check_deq_tail r
 
 let test_soak_report_json () =
   let r = Soak_ms.run ~rounds:1 ~ops:100 ~deadline_s:45. ~seed:smoke_seed () in
