@@ -9,25 +9,33 @@
 let n_rows = 128
 let golden = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+(* Inlined, so the 64-bit arithmetic stays unboxed. *)
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let default_seed = 0x6A697474L (* "jitt" *)
-let states = Array.make n_rows 0L
+
+(* Stream state, unboxed: row [r]'s state is cell [r * row_cells], so
+   every row has a 64-byte cache line to itself and a draw is a plain
+   load and store — no boxed [int64], no write barrier. *)
+let row_cells = 8
+
+let states =
+  Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n_rows * row_cells)
 
 let reseed seed =
   for r = 0 to n_rows - 1 do
-    states.(r) <- mix64 (Int64.add seed (Int64.of_int (r + 1)))
+    states.{r * row_cells} <- mix64 (Int64.add seed (Int64.of_int (r + 1)))
   done
 
 let () = reseed default_seed
 
 let next_bits () =
-  let r = (Domain.self () :> int) land (n_rows - 1) in
-  let s = Int64.add states.(r) golden in
-  states.(r) <- s;
+  let i = ((Domain.self () :> int) land (n_rows - 1)) * row_cells in
+  let s = Int64.add states.{i} golden in
+  states.{i} <- s;
   Int64.to_int (Int64.shift_right_logical (mix64 s) 2)
 
 type t = { initial : int; limit : int; mutable bound : int }

@@ -104,23 +104,23 @@ let cache_labels = Array.make (n_rings * cache_slots) ""
 let cache_ids = Array.make (n_rings * cache_slots) 0
 let cache_cursor = Array.make (n_rings * head_stride) 0
 
-let intern r label =
-  let base = r * cache_slots in
-  let rec probe i =
-    if i >= cache_slots then begin
-      let id = intern_slow label in
-      let k = cache_cursor.(r * head_stride) land (cache_slots - 1) in
-      cache_cursor.(r * head_stride) <- k + 1;
-      (* id before label: a colliding domain matching the new label then
-         reads an id that is already the matching one *)
-      cache_ids.(base + k) <- id;
-      cache_labels.(base + k) <- label;
-      id
-    end
-    else if cache_labels.(base + i) == label then cache_ids.(base + i)
-    else probe (i + 1)
-  in
-  probe 0
+(* Slot [i] onward of ring row [r]'s cache, which starts at [base].  A
+   top-level function, so the per-event path builds no closure. *)
+let rec probe r base label i =
+  if i >= cache_slots then begin
+    let id = intern_slow label in
+    let k = cache_cursor.(r * head_stride) land (cache_slots - 1) in
+    cache_cursor.(r * head_stride) <- k + 1;
+    (* id before label: a colliding domain matching the new label then
+       reads an id that is already the matching one *)
+    cache_ids.(base + k) <- id;
+    cache_labels.(base + k) <- label;
+    id
+  end
+  else if cache_labels.(base + i) == label then cache_ids.(base + i)
+  else probe r base label (i + 1)
+
+let intern r label = probe r (r * cache_slots) label 0
 
 let record tag label =
   let d = (Domain.self () :> int) in

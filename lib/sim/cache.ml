@@ -29,7 +29,9 @@ type line_report = {
 
 type t = {
   cfg : Config.t;
-  lines : (int, int) Hashtbl.t;  (* addr -> sharer bit mask *)
+  mutable masks : int array;
+      (* line -> sharer bit mask, 0 past the end: the coherence
+         directory, grown on demand to cover the highest line touched *)
   labels : (int, string) Hashtbl.t;  (* line -> symbolic name *)
   mutable per_line : (int, line_stat) Hashtbl.t option;  (* None: disabled *)
   mutable hits : int;
@@ -42,7 +44,7 @@ let create cfg =
   if cfg.Config.n_processors > 62 then invalid_arg "Cache.create: too many processors";
   {
     cfg;
-    lines = Hashtbl.create 4096;
+    masks = Array.make 1024 0;
     labels = Hashtbl.create 64;
     per_line = None;
     hits = 0;
@@ -71,7 +73,20 @@ let label_range t ~addr ~words label =
 
 let label_of_line t l = Hashtbl.find_opt t.labels l
 
-let sharers t line = try Hashtbl.find t.lines line with Not_found -> 0
+(* A line below 0 (an address below 1) fails the array's bounds check:
+   the engine validates addresses against [Memory] first, so only a
+   direct caller can get here with one. *)
+let sharers t line =
+  if line < Array.length t.masks then t.masks.(line) else 0
+
+let set_sharers t line mask =
+  let n = Array.length t.masks in
+  if line >= n then begin
+    let masks = Array.make (max (2 * n) (line + 1)) 0 in
+    Array.blit t.masks 0 masks 0 n;
+    t.masks <- masks
+  end;
+  t.masks.(line) <- mask
 
 let popcount mask =
   let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in
@@ -113,7 +128,7 @@ let read_cost t ~proc ~addr =
     else begin
       t.misses <- t.misses + 1;
       t.last_hit <- false;
-      Hashtbl.replace t.lines addr (mask lor bit);
+      set_sharers t addr (mask lor bit);
       t.cfg.Config.cache_miss_cost
     end
   in
@@ -146,7 +161,7 @@ let write_cost_with t ~proc ~addr ~extra =
       t.misses <- t.misses + 1;
       t.last_hit <- false;
       t.invalidations <- t.invalidations + remote;
-      Hashtbl.replace t.lines addr bit;
+      set_sharers t addr bit;
       t.cfg.Config.cache_miss_cost + (remote * t.cfg.Config.invalidate_cost) + extra
     end
   in

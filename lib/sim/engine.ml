@@ -27,6 +27,9 @@ type processor = {
   mutable clock : int;
   mutable busy : int;  (* cycles spent executing ops and switching *)
   runq : process Queue.t;
+  mutable live : int;
+      (* processes of [runq] neither finished nor killed: the processor
+         is eligible to run iff this is positive *)
   mutable quantum_left : int;
 }
 
@@ -87,7 +90,14 @@ let create (cfg : Config.t) =
     hp = Heap.create ~line_words:cfg.line_words mem;
     processors =
       Array.init cfg.n_processors (fun id ->
-          { id; clock = 0; busy = 0; runq = Queue.create (); quantum_left = cfg.quantum });
+          {
+            id;
+            clock = 0;
+            busy = 0;
+            runq = Queue.create ();
+            live = 0;
+            quantum_left = cfg.quantum;
+          });
     procs = Hashtbl.create 64;
     counters = Hashtbl.create 16;
     next_pid = 0;
@@ -150,7 +160,9 @@ let spawn ?cpu t body =
     }
   in
   Hashtbl.add t.procs pid p;
-  Queue.push p t.processors.(cpu).runq;
+  let c = t.processors.(cpu) in
+  Queue.push p c.runq;
+  c.live <- c.live + 1;
   t.remaining <- t.remaining + 1;
   pid
 
@@ -158,6 +170,14 @@ let find_process t pid =
   match Hashtbl.find_opt t.procs pid with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Engine: unknown pid %d" pid)
+
+(* [p] stops for good: it no longer counts toward [remaining] nor toward
+   its processor's [live]. *)
+let retire t p (state : proc_state) =
+  p.state <- state;
+  t.remaining <- t.remaining - 1;
+  let cpu = t.processors.(p.cpu) in
+  cpu.live <- cpu.live - 1
 
 let stall t pid cycles =
   if cycles < 0 then invalid_arg "Engine.stall: negative duration";
@@ -177,9 +197,7 @@ let kill t pid =
   let p = find_process t pid in
   match p.state with
   | Finished | Killed -> ()
-  | Runnable | Stalled _ ->
-      p.state <- Killed;
-      t.remaining <- t.remaining - 1
+  | Runnable | Stalled _ -> retire t p Killed
 
 let plan_crash t pid ~after_ops =
   if after_ops < 0 then invalid_arg "Engine.plan_crash: negative operation index";
@@ -210,34 +228,36 @@ let mark_progress t (cpu : processor) =
   t.last_progress <- max t.last_progress (max t.max_clock cpu.clock)
 
 (* Execute one operation for process [p] on processor [cpu]; returns the
-   cycle cost and the reply fed back to the process. *)
+   cycle cost and the reply fed back to the process.  A memory operation
+   runs before its cache cost is charged: [Memory] rejects an address
+   outside memory before the coherence directory ever sees it. *)
 let exec_op t (cpu : processor) (p : process) (op : Op.t) : int * Op.reply =
   let proc = cpu.id in
   match op with
   | Op.Read a ->
-      (Cache.read_cost t.cache ~proc ~addr:a, Op.Word (Memory.read t.mem ~proc a))
+      let w = Memory.read t.mem ~proc a in
+      (Cache.read_cost t.cache ~proc ~addr:a, Op.Word w)
   | Op.Write (a, v) ->
-      let cost = Cache.write_cost t.cache ~proc ~addr:a in
       Memory.write t.mem ~proc a v;
-      (cost, Op.Unit)
+      (Cache.write_cost t.cache ~proc ~addr:a, Op.Unit)
   | Op.Cas { addr; expected; desired } ->
-      let cost = Cache.rmw_cost t.cache ~proc ~addr in
       let ok = Memory.cas t.mem ~proc addr ~expected ~desired in
-      (cost, Op.Bool ok)
+      (Cache.rmw_cost t.cache ~proc ~addr, Op.Bool ok)
   | Op.Fetch_and_add (a, d) ->
-      let cost = Cache.rmw_cost t.cache ~proc ~addr:a in
-      (cost, Op.Word (Memory.fetch_and_add t.mem ~proc a d))
+      let old = Memory.fetch_and_add t.mem ~proc a d in
+      (Cache.rmw_cost t.cache ~proc ~addr:a, Op.Word old)
   | Op.Swap (a, v) ->
-      let cost = Cache.rmw_cost t.cache ~proc ~addr:a in
-      (cost, Op.Word (Memory.swap t.mem ~proc a v))
+      let old = Memory.swap t.mem ~proc a v in
+      (Cache.rmw_cost t.cache ~proc ~addr:a, Op.Word old)
   | Op.Test_and_set a ->
-      let cost = Cache.rmw_cost t.cache ~proc ~addr:a in
-      (cost, Op.Bool (Memory.test_and_set t.mem ~proc a))
+      let won = Memory.test_and_set t.mem ~proc a in
+      (Cache.rmw_cost t.cache ~proc ~addr:a, Op.Bool won)
   | Op.Load_linked a ->
-      (Cache.read_cost t.cache ~proc ~addr:a, Op.Word (Memory.load_linked t.mem ~proc a))
+      let w = Memory.load_linked t.mem ~proc a in
+      (Cache.read_cost t.cache ~proc ~addr:a, Op.Word w)
   | Op.Store_conditional (a, v) ->
-      let cost = Cache.rmw_cost t.cache ~proc ~addr:a in
-      (cost, Op.Bool (Memory.store_conditional t.mem ~proc a v))
+      let ok = Memory.store_conditional t.mem ~proc a v in
+      (Cache.rmw_cost t.cache ~proc ~addr:a, Op.Bool ok)
   | Op.Alloc n -> (t.cfg.alloc_cost, Op.Int (Heap.alloc t.hp n))
   | Op.Free { addr; size } ->
       Heap.free t.hp ~addr ~size;
@@ -298,22 +318,17 @@ let rec select t (cpu : processor) ~rotated =
           select t cpu ~rotated:(rotated + 1)
         end
 
-(* A processor is eligible if its run queue holds any process that is not
-   finished or killed. *)
-let eligible cpu =
-  Queue.fold
-    (fun acc p -> acc || match p.state with Runnable | Stalled _ -> true | _ -> false)
-    false cpu.runq
-
+(* The index of the eligible processor (one with a live process) whose
+   clock is lowest, the lowest index on a tie; -1 if none is eligible. *)
 let pick_processor t =
-  let best = ref None in
-  Array.iter
-    (fun cpu ->
-      if eligible cpu then
-        match !best with
-        | Some b when b.clock <= cpu.clock -> ()
-        | _ -> best := Some cpu)
-    t.processors;
+  let best = ref (-1) and best_clock = ref 0 in
+  for i = 0 to Array.length t.processors - 1 do
+    let cpu = t.processors.(i) in
+    if cpu.live > 0 && (!best < 0 || cpu.clock < !best_clock) then begin
+      best := i;
+      best_clock := cpu.clock
+    end
+  done;
   !best
 
 let step_processor t (cpu : processor) =
@@ -330,8 +345,7 @@ let step_processor t (cpu : processor) =
           (* fail-stop: the last operation's memory effect stands but the
              process never runs another instruction — a lock it holds
              stays held forever, a half-linked node stays half-linked *)
-          p.state <- Killed;
-          t.remaining <- t.remaining - 1;
+          retire t p Killed;
           ignore (Queue.pop cpu.runq);
           (match p.restart with
           | Some (delay, body) ->
@@ -361,15 +375,13 @@ let step_processor t (cpu : processor) =
       else
         match p.k p.reply with
         | Api.Done ->
-            p.state <- Finished;
+            retire t p Finished;
             p.finish_time <- cpu.clock;
-            t.remaining <- t.remaining - 1;
             ignore (Queue.pop cpu.runq);
             mark_progress t cpu
         | Api.Raised e ->
-            p.state <- Finished;
+            retire t p Finished;
             p.finish_time <- cpu.clock;
-            t.remaining <- t.remaining - 1;
             ignore (Queue.pop cpu.runq);
             mark_progress t cpu;
             if t.failure = None then t.failure <- Some e
@@ -400,11 +412,12 @@ let step_processor t (cpu : processor) =
             t.steps <- t.steps + 1;
             p.k <- k;
             p.reply <- reply;
-            if op = Op.Yield && Queue.length cpu.runq > 1 then begin
-              ignore (Queue.pop cpu.runq);
-              Queue.push p cpu.runq;
-              context_switch t cpu
-            end))
+            match op with
+            | Op.Yield when Queue.length cpu.runq > 1 ->
+                ignore (Queue.pop cpu.runq);
+                Queue.push p cpu.runq;
+                context_switch t cpu
+            | _ -> ()))
 
 (* The structured verdict of a watchdog expiry: which processes were
    still alive, what they were doing (their trace tails, when tracing is
@@ -478,7 +491,7 @@ let run ?(max_steps = 1_000_000_000) ?watchdog t =
          t.max_clock <- max t.max_clock at;
          t.last_progress <- max t.last_progress t.max_clock
        end;
-       fire_due_revivals ();
+       (match t.revivals with [] -> () | _ -> fire_due_revivals ());
        if t.steps >= max_steps then begin
          outcome := Step_limit;
          raise Exit
@@ -489,14 +502,13 @@ let run ?(max_steps = 1_000_000_000) ?watchdog t =
            outcome := Blocked;
            raise Exit
        | _ -> ());
-       match pick_processor t with
-       | Some cpu ->
-           step_processor t cpu;
-           if cpu.clock > t.max_clock then t.max_clock <- cpu.clock
-       | None ->
-           (* remaining > 0 but nobody eligible: impossible by construction,
-              since killed/finished decrement [remaining]. *)
-           assert false
+       let i = pick_processor t in
+       (* remaining > 0 but nobody eligible: impossible by construction,
+          since killed/finished decrement [remaining] with [live] *)
+       assert (i >= 0);
+       let cpu = t.processors.(i) in
+       step_processor t cpu;
+       if cpu.clock > t.max_clock then t.max_clock <- cpu.clock
      done
    with Exit -> ());
   (match t.failure with

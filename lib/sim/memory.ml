@@ -42,9 +42,10 @@ let check t addr =
    and treated as reservation loss by most implementations — we clear all
    but the writer to stay conservative for *other* processors). *)
 let invalidate_reservations t ~proc addr =
-  Array.iteri
-    (fun p a -> if p <> proc && a = addr then t.reservations.(p) <- 0)
-    t.reservations
+  let r = t.reservations in
+  for p = 0 to Array.length r - 1 do
+    if p <> proc && r.(p) = addr then r.(p) <- 0
+  done
 
 let read t ~proc:_ addr =
   check t addr;

@@ -94,6 +94,18 @@ let test_backoff_bounds () =
   done;
   Alcotest.(check pass) "bounded backoff terminates" () ()
 
+let test_backoff_allocates_nothing () =
+  let b = Locks.Backoff.create ~initial:1 ~limit:1 () in
+  Locks.Backoff.once b;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Locks.Backoff.once b
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_call >= 0.01 then
+    Alcotest.failf "Backoff.once allocates %.2f minor words per call" per_call
+
 let test_backoff_invalid () =
   Alcotest.check_raises "bad params" (Invalid_argument "Backoff.create") (fun () ->
       ignore (Locks.Backoff.create ~initial:8 ~limit:4 ()))
@@ -233,6 +245,8 @@ let suites =
       [
         Alcotest.test_case "ticket all acquisitions" `Slow test_ticket_fifo;
         Alcotest.test_case "backoff bounds" `Quick test_backoff_bounds;
+        Alcotest.test_case "backoff allocates nothing" `Quick
+          test_backoff_allocates_nothing;
         Alcotest.test_case "backoff invalid" `Quick test_backoff_invalid;
       ] );
     ( "locks.probe",

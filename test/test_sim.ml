@@ -471,6 +471,48 @@ let test_utilization () =
   Alcotest.(check bool) "busy run fully utilized" true
     (Stats.utilization (Engine.stats eng) > 0.99)
 
+(* A store to an address outside memory raises Memory's bounds error
+   before the cache model sees it: the faulting operation is charged
+   nothing and leaves no trace in the coherence directory. *)
+let test_engine_bad_address_charges_nothing () =
+  let ops =
+    [
+      ("write", fun addr -> Api.write addr (Word.Int 7));
+      ("cas", fun addr -> ignore (Api.cas addr ~expected:Word.zero ~desired:(Word.Int 1)));
+      ("faa", fun addr -> ignore (Api.fetch_and_add addr 1));
+    ]
+  in
+  List.iter
+    (fun (op_name, op) ->
+      List.iter
+        (fun bad ->
+          let eng = Engine.create cfg2 in
+          let a = Engine.setup_alloc eng 1 in
+          let size = Memory.size (Engine.memory eng) in
+          let addr = bad size in
+          let name = Printf.sprintf "%s at %d" op_name addr in
+          let cache_counts () =
+            let s = Engine.stats eng in
+            (s.Stats.cache_hits, s.Stats.cache_misses, s.Stats.invalidations)
+          in
+          let before = ref (-1, -1, -1) in
+          ignore
+            (Engine.spawn eng (fun () ->
+                 ignore (Api.read a);
+                 Api.write a (Word.Int 1);
+                 before := cache_counts ();
+                 op addr));
+          Alcotest.check_raises (name ^ ": Memory's bounds error")
+            (Invalid_argument
+               (Printf.sprintf "Memory: address %d out of bounds (1..%d)" addr size))
+            (fun () -> ignore (Engine.run eng));
+          check
+            Alcotest.(triple int int int)
+            (name ^ ": hits, misses, invalidations unchanged")
+            !before (cache_counts ()))
+        [ (fun _ -> 0); (fun _ -> -8); (fun size -> size + 1) ])
+    ops
+
 (* Backoff (simulated) *)
 let test_backoff_growth () =
   let eng = Engine.create Config.default in
@@ -596,6 +638,205 @@ let qcheck_engine_monotone_work =
       in
       run 0 <= run 7)
 
+(* ------------------------------------------------------------------ *)
+(* Golden cycles: exact simulated cycle counts, pinned in a committed
+   table (test/golden_cycles.ml).  Same-seed determinism within one
+   build says nothing about a change to the engine; this table does.
+   It covers the paper's workload for every algorithm of the figures
+   and the scheduler's fault paths: a kill behind the front of a shared
+   run queue, planned and host stalls, crash+restart, a bounded ring
+   yielding while full under multiprogramming, and LL/SC reservation
+   loss.  On a mismatch the test prints the whole actual table as
+   OCaml source (see HACKING.md, "Golden cycles"). *)
+
+let golden_pairs = 200
+
+let golden_workloads () =
+  List.concat_map
+    (fun ({ key; algo } : Harness.Registry.entry) ->
+      List.concat_map
+        (fun p ->
+          List.map
+            (fun mpl ->
+              let m =
+                Harness.Workload.run algo
+                  {
+                    Harness.Params.default with
+                    total_pairs = golden_pairs;
+                    processors = p;
+                    multiprogramming = mpl;
+                  }
+              in
+              (Printf.sprintf "%s p%d mpl%d net_time" key p mpl, m.net_time))
+            [ 1; 2; 3 ])
+        [ 1; 2; 4; 8 ])
+    Harness.Registry.all
+
+(* [elapsed], then [finish_time] (-1 when the process never finished)
+   and [ops_executed] of every listed process. *)
+let golden_rows name eng pids =
+  (name ^ " elapsed", Engine.elapsed eng)
+  :: List.concat_map
+       (fun pid ->
+         let finish =
+           try Engine.finish_time eng pid with Invalid_argument _ -> -1
+         in
+         [
+           (Printf.sprintf "%s pid%d finish_time" name pid, finish);
+           (Printf.sprintf "%s pid%d ops_executed" name pid,
+            Engine.ops_executed eng pid);
+         ])
+       pids
+
+let golden_engine () =
+  Engine.create { (Config.with_processors 2) with quantum = 400 }
+
+let faa_loop a n () =
+  for _ = 1 to n do
+    ignore (Api.fetch_and_add a 1);
+    Api.work 60
+  done
+
+let golden_kill () =
+  (* three processes share cpu 0: the middle one dies before the run,
+     the last one mid-run at the hand of cpu 1's process *)
+  let eng = golden_engine () in
+  let a = Engine.setup_alloc eng 1 in
+  let p0 = Engine.spawn ~cpu:0 eng (faa_loop a 30) in
+  let p1 = Engine.spawn ~cpu:0 eng (faa_loop a 30) in
+  let p2 = Engine.spawn ~cpu:0 eng (faa_loop a 30) in
+  let p3 =
+    Engine.spawn ~cpu:1 eng (fun () ->
+        faa_loop a 15 ();
+        Engine.kill eng p2;
+        faa_loop a 20 ())
+  in
+  Engine.kill eng p1;
+  ignore (Engine.run eng);
+  golden_rows "kill" eng [ p0; p1; p2; p3 ]
+
+let golden_stall () =
+  let eng = golden_engine () in
+  let a = Engine.setup_alloc eng 1 in
+  let p0 = Engine.spawn ~cpu:0 eng (faa_loop a 40) in
+  let p1 = Engine.spawn ~cpu:0 eng (faa_loop a 40) in
+  let p2 = Engine.spawn ~cpu:1 eng (faa_loop a 40) in
+  Engine.plan_stall eng p0 ~at:1_000 ~duration:5_000;
+  Engine.plan_stall eng p2 ~at:2_000 ~duration:3_000;
+  Engine.stall eng p1 700;
+  ignore (Engine.run eng);
+  golden_rows "stall" eng [ p0; p1; p2 ]
+
+let golden_crash_restart () =
+  let eng = golden_engine () in
+  let a = Engine.setup_alloc eng 1 in
+  let replacement = ref (-1) in
+  let p0 = Engine.spawn ~cpu:0 eng (faa_loop a 30) in
+  let p1 = Engine.spawn ~cpu:0 eng (faa_loop a 30) in
+  let p2 = Engine.spawn ~cpu:1 eng (faa_loop a 10) in
+  Engine.plan_crash_restart eng p0 ~after_ops:15 ~restart_after:20_000
+    (fun () ->
+      replacement := Api.self ();
+      faa_loop a 10 ());
+  Engine.plan_crash eng p2 ~after_ops:9;
+  ignore (Engine.run eng);
+  golden_rows "crash_restart" eng [ p0; p1; p2; !replacement ]
+
+let golden_scq_full () =
+  (* two producers per processor against slow consumers: the 4-slot
+     ring fills and the producers yield to each other *)
+  let eng = Engine.create { (Config.with_processors 2) with quantum = 2_000 } in
+  let module Q = Squeues.Scq_queue in
+  let q = Q.init ~options:{ Squeues.Intf.default_options with pool = 4 } eng in
+  let producer base () =
+    for k = 1 to 15 do
+      Q.enqueue q (base + k)
+    done
+  in
+  let consumer () =
+    let got = ref 0 in
+    while !got < 15 do
+      match Q.dequeue q with
+      | Some _ ->
+          incr got;
+          Api.work 300
+      | None -> Api.work 50
+    done
+  in
+  let p0 = Engine.spawn ~cpu:0 eng (producer 0) in
+  let p1 = Engine.spawn ~cpu:0 eng (producer 100) in
+  let p2 = Engine.spawn ~cpu:1 eng consumer in
+  let p3 = Engine.spawn ~cpu:1 eng consumer in
+  ignore (Engine.run eng);
+  ("scq_full full_spins", Stats.counter (Engine.stats eng) "scq.full_spin")
+  :: golden_rows "scq_full" eng [ p0; p1; p2; p3 ]
+
+let golden_llsc () =
+  (* cpu 0 increments by LL/SC; cpu 1's fetch&adds on the same word
+     break its reservation *)
+  let eng = Engine.create (Config.with_processors 2) in
+  let a = Engine.setup_alloc eng 1 in
+  let failures = ref 0 in
+  let p0 =
+    Engine.spawn ~cpu:0 eng (fun () ->
+        for _ = 1 to 40 do
+          let rec attempt () =
+            let v = Word.to_int (Api.load_linked a) in
+            Api.work 30;
+            if not (Api.store_conditional a (Word.Int (v + 1))) then begin
+              incr failures;
+              attempt ()
+            end
+          in
+          attempt ()
+        done)
+  in
+  let p1 =
+    Engine.spawn ~cpu:1 eng (fun () ->
+        for _ = 1 to 40 do
+          Api.work 45;
+          ignore (Api.fetch_and_add a 1000)
+        done)
+  in
+  ignore (Engine.run eng);
+  ("llsc sc_failures", !failures)
+  :: ("llsc final", Word.to_int (Engine.peek eng a))
+  :: golden_rows "llsc" eng [ p0; p1 ]
+
+let golden_actual () =
+  golden_workloads () @ golden_kill () @ golden_stall ()
+  @ golden_crash_restart () @ golden_scq_full () @ golden_llsc ()
+
+let print_golden_table rows =
+  print_string
+    "(* Exact simulated cycles pinned by test_sim's \"golden cycles\" case;\n\
+    \   regenerate only after a deliberate change to simulated timing\n\
+    \   (HACKING.md, \"Golden cycles\"). *)\n\n\
+     let table : (string * int) list =\n\
+    \  [\n";
+  List.iter (fun (k, v) -> Printf.printf "    (%S, %d);\n" k v) rows;
+  print_string "  ]\n"
+
+let test_golden_cycles () =
+  let actual = golden_actual () in
+  if actual <> Golden_cycles.table then begin
+    let expected = Golden_cycles.table in
+    List.iter
+      (fun (k, v) ->
+        match List.assoc_opt k expected with
+        | Some e when e = v -> ()
+        | Some e -> Printf.printf "%s: expected %d, got %d\n" k e v
+        | None -> Printf.printf "%s: not in the table (got %d)\n" k v)
+      actual;
+    List.iter
+      (fun (k, _) ->
+        if not (List.mem_assoc k actual) then Printf.printf "%s: no longer produced\n" k)
+      expected;
+    print_newline ();
+    print_golden_table actual;
+    Alcotest.fail "simulated cycles differ from test/golden_cycles.ml"
+  end
+
 let suites =
   [
     ( "sim.rng",
@@ -657,6 +898,8 @@ let suites =
         Alcotest.test_case "counters" `Quick test_engine_counters;
         Alcotest.test_case "alloc effect" `Quick test_engine_alloc_effect;
         Alcotest.test_case "idle jump" `Quick test_engine_idle_jump;
+        Alcotest.test_case "bad address charges nothing" `Quick
+          test_engine_bad_address_charges_nothing;
         Alcotest.test_case "backoff growth" `Quick test_backoff_growth;
         Alcotest.test_case "utilization" `Quick test_utilization;
       ] );
@@ -666,4 +909,5 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_heap_no_overlap;
         QCheck_alcotest.to_alcotest qcheck_engine_monotone_work;
       ] );
+    ("sim.golden", [ Alcotest.test_case "golden cycles" `Quick test_golden_cycles ]);
   ]

@@ -394,6 +394,34 @@ let test_flight_overwrites_oldest () =
     (retained <= Obs.Flight.capacity ());
   Obs.Flight.configure ~capacity:1024
 
+let test_flight_record_allocates_nothing () =
+  Obs.Flight.disable ();
+  Obs.Flight.reset ();
+  Obs.Flight.enable ();
+  let triple () =
+    Locks.Probe.site "t.alloc.site";
+    Locks.Probe.phase_begin "t.alloc.span";
+    Locks.Probe.phase_end "t.alloc.span"
+  in
+  (* warm-up: every label interned and in this ring row's cache *)
+  for _ = 1 to 100 do
+    triple ()
+  done;
+  let n = 10_000 in
+  let before = Obs.Flight.recorded () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    triple ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let recorded = Obs.Flight.recorded () - before in
+  Obs.Flight.disable ();
+  Alcotest.(check int) "every event recorded" (3 * n) recorded;
+  let per_event = words /. float_of_int (3 * n) in
+  if per_event >= 0.01 then
+    Alcotest.failf "flight recording allocates %.2f minor words per event"
+      per_event
+
 let test_flight_latch_priority () =
   with_temp_file @@ fun path ->
   Obs.Flight.disable ();
@@ -503,6 +531,8 @@ let suites =
           test_flight_overwrites_oldest;
         Alcotest.test_case "anomaly latch priority" `Quick
           test_flight_latch_priority;
+        Alcotest.test_case "recording allocates nothing" `Quick
+          test_flight_record_allocates_nothing;
       ] );
     ( "telemetry.json",
       [
