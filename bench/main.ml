@@ -139,7 +139,8 @@ let robustness () =
   in
   Harness.Report.liveness_table Format.std_formatter liveness;
   let crash =
-    Harness.Crash_experiment.run_all ~trials:(if smoke then 12 else 48) ()
+    List.map snd
+      (Harness.Crash_experiment.sweep ~trials:(if smoke then 12 else 48) ())
   in
   Harness.Report.crash_table Format.std_formatter crash;
   (liveness, crash)
@@ -538,195 +539,55 @@ let profile_section () =
       ("native", Obs.Profile.to_json native_prof);
     ]
 
-(* Fault-storm soak — the resilience section: every native queue under
-   chaos storms, stalled hazard-pointer readers and worker crash/restart,
-   with conservation/FIFO/length/reclamation audits, plus the simulated
-   crash+restart battery.  Short here (CI's long soak is the nightly
-   [msq_check soak] job); runs in smoke too so the schema-6 [soak]
-   section is always present. *)
+(* The schema-6 [soak] section: [Harness.Soak.gate] as [msq_check soak]
+   runs it, shorter (CI's long soak is the nightly job). *)
 let soak_section () =
-  heading "Soak: fault storm (chaos + crash/restart) over the native queues";
-  let seed = 0x534F414BL (* "SOAK" *) in
-  let ops = if smoke then 300 else 800 in
-  let reports = Harness.Soak.run_all ~rounds:2 ~ops ~deadline_s:120. ~seed () in
-  List.iter (fun r -> Format.printf "  %a@." Harness.Soak.pp_report r) reports;
-  heading "Soak: simulated crash + restart battery";
-  let sims = Harness.Soak.sim_battery ~seed () in
-  List.iter (fun r -> Format.printf "  %a@." Harness.Soak.pp_sim_result r) sims;
-  Obs.Json.Assoc
-    [
-      ("seed", Obs.Json.String (Printf.sprintf "0x%Lx" seed));
-      ("native", Obs.Json.List (List.map Harness.Soak.report_json reports));
-      ("sim", Obs.Json.List (List.map Harness.Soak.sim_result_json sims));
-    ]
+  heading "Soak: fault storm (chaos + crash/restart) and the simulated battery";
+  let g =
+    Harness.Soak.gate ~rounds:2
+      ~ops:(if smoke then 300 else 800)
+      ~deadline_s:120. ~seed:0x534F414BL (* "SOAK" *) ()
+  in
+  List.iter (Format.printf "%a@." Harness.Verdict.pp) (Harness.Soak.verdicts g);
+  Harness.Soak.gate_json g
 
-(* The fabric axis — the schema-7 [fabric] section:
-   - deterministic simulated shard scaling: the paper's pairs workload
-     over the keyed simulated fabric at 1 and 8 shards, p = 8.  These
-     net_per_pair points fold into the bench-diff sim gate, and the
-     8-shard/1-shard ratio is the >=3x aggregate-throughput claim
-     [msq_check fabric] enforces;
-   - the heatmap disjoint-writer verdict for those runs (per-shard
-     Head/Tail/entry lines written by disjoint processor sets);
-   - native open-loop latency under offered load: Poisson arrivals at a
-     few rates against a bounded sharded fabric, sojourn p50/p99/p999
-     per point with an absolute p999 SLO.  The SLO is deliberately
-     generous (500 ms) because CI shares one hardware core — it exists
-     to catch collapse (unbounded queueing), not drift; the relative
-     p999 gate against the baseline is Bench_compare's job.  The top
-     rate also runs skewed keys and a producer crash/restart so the
-     artifact exercises the whole generator. *)
+(* The schema-7 [fabric] section ([Harness.Gate.fabric]): 1 vs 8
+   simulated shards, whose net_per_pair points fold into the bench-diff
+   sim gate, and open-loop points against a 4-shard fabric, the top rate
+   with skewed keys and a producer crash/restart so the artifact
+   exercises the whole generator. *)
 let fabric_section () =
-  heading "Fabric: simulated shard scaling (p = 8, keyed routing)";
-  let fpairs = if smoke then 2_000 else 8_000 in
-  let sim_points =
-    List.map
-      (fun shards ->
-        let m =
-          Harness.Workload.run ~heatmap:true
-            (Squeues.Fabric_queue.algo ~shards)
-            { base with total_pairs = fpairs; processors = 8 }
-        in
-        Format.printf "  %d shard(s): %7.0f cycles/pair%s@." shards
-          m.Harness.Workload.net_per_pair
-          (if m.Harness.Workload.completed then "" else " [incomplete]");
-        (shards, m))
-      [ 1; 8 ]
+  heading "Fabric: shard scaling and open-loop latency under offered load";
+  let load label rate skew crash = { Harness.Gate.label; rate; skew; crash } in
+  let f =
+    Harness.Gate.fabric ~quantum ~shards:8 ~native_shards:4
+      ~pairs:(if smoke then 2_000 else 8_000)
+      ~arrivals:(if smoke then 3_000 else 20_000)
+      (if smoke then [ load "20k" 20_000. 0. false; load "50k" 50_000. 1.2 true ]
+       else
+         [
+           load "20k" 20_000. 0. false;
+           load "100k" 100_000. 0. false;
+           load "300k" 300_000. 1.2 true;
+         ])
   in
-  let disjoint =
-    List.for_all
-      (fun (_, m) ->
-        Squeues.Fabric_queue.writers_disjoint m.Harness.Workload.heatmap)
-      sim_points
-  in
-  Format.printf "  per-shard writer sets disjoint: %b@." disjoint;
-  heading "Fabric: open-loop latency under offered load (native, timeshared core)";
-  let slo_p999_ns = 500_000_000 in
-  let arrivals = if smoke then 3_000 else 20_000 in
-  let loads =
-    (* label, rate, skew, crash *)
-    if smoke then [ ("20k", 20_000., 0., false); ("50k", 50_000., 1.2, true) ]
-    else
-      [
-        ("20k", 20_000., 0., false);
-        ("100k", 100_000., 0., false);
-        ("300k", 300_000., 1.2, true);
-      ]
-  in
-  let open_points =
-    List.map
-      (fun (label, rate, skew, crash) ->
-        let fab =
-          Fabric.Queue_fabric.create
-            ~config:
-              {
-                Fabric.Queue_fabric.default_config with
-                shards = 4;
-                shard_capacity = 4_096;
-              }
-            ()
-        in
-        let r =
-          Harness.Open_loop.run
-            ~config:
-              {
-                Harness.Open_loop.default with
-                seed = 0xFABL;
-                rate;
-                arrivals;
-                key_skew = skew;
-                crash_restart = crash;
-              }
-            fab
-        in
-        Format.printf "  %a@." Harness.Open_loop.pp_result r;
-        let _, _, p999 = Harness.Open_loop.percentiles r.Harness.Open_loop.sojourn in
-        let slo_ok = p999 <= slo_p999_ns in
-        match Harness.Open_loop.result_json r with
-        | Obs.Json.Assoc kvs ->
-            Obs.Json.Assoc
-              (kvs
-              @ [
-                  ("load_label", Obs.Json.String label);
-                  ("slo_p999_ns", Obs.Json.Int slo_p999_ns);
-                  ("slo_ok", Obs.Json.Bool slo_ok);
-                ])
-        | j -> j)
-      loads
-  in
-  Obs.Json.Assoc
-    [
-      ( "sim_scaling",
-        Obs.Json.List
-          (List.map
-             (fun (shards, m) ->
-               Obs.Json.Assoc
-                 [
-                   ("shards", Obs.Json.Int shards);
-                   ("processors", Obs.Json.Int 8);
-                   ("pairs", Obs.Json.Int fpairs);
-                   ( "net_per_pair",
-                     Obs.Json.Float m.Harness.Workload.net_per_pair );
-                   ("completed", Obs.Json.Bool m.Harness.Workload.completed);
-                 ])
-             sim_points) );
-      ("heatmap_disjoint", Obs.Json.Bool disjoint);
-      ("open_loop", Obs.Json.List open_points);
-    ]
+  Format.printf "%a" Harness.Gate.pp_fabric f;
+  List.iter
+    (Format.printf "%a@." Harness.Verdict.pp)
+    (Harness.Gate.fabric_verdicts f);
+  Harness.Gate.fabric_json f
 
-(* The schema-8 [timeline] section: a live sampling domain watches two
-   runs happen — an instrumented ms-queue two-domain loop (operation
-   rates, windowed latency quantiles, queue length) and a fabric
-   open-loop run (per-shard depths, breaker states, sojourn quantiles;
-   [Harness.Open_loop] auto-registers its sources because the sampler
-   is active).  The export is the dashboard timeline plus an
-   OpenMetrics rendering of the final values. *)
+(* The schema-8 [timeline] section ([Harness.Gate.timeline]). *)
 let timeline_section () =
   heading "Telemetry: sampled timeline (5 ms period)";
-  Obs.Sampler.clear ();
-  Obs.Sampler.start ~period_ns:5_000_000 ();
-  let per = if smoke then 30_000 else 100_000 in
-  let (module Q : Core.Queue_intf.BOUNDED) =
-    (List.hd Harness.Registry.native).Harness.Registry.queue
+  let t =
+    Harness.Gate.timeline ~seed:0x7E1EL
+      ~pairs:(if smoke then 30_000 else 100_000)
+      ~arrivals:(if smoke then 2_000 else 10_000)
   in
-  let module I = Obs.Instrumented.Make_bounded (Q) in
-  let q = I.create () in
-  Obs.Sampler.register_metrics ~prefix:"msq" (I.metrics q);
-  Obs.Sampler.register_gauge "msq.length" (fun () ->
-      float_of_int (I.length q));
-  Obs.Control.with_enabled (fun () ->
-      ignore
-        (two_domain_pairs ~per (I.try_enqueue q) (fun () -> I.try_dequeue q)));
-  Obs.Sampler.remove ~prefix:"msq";
-  let fab =
-    Fabric.Queue_fabric.create
-      ~config:
-        {
-          Fabric.Queue_fabric.default_config with
-          shards = 4;
-          shard_capacity = 4_096;
-        }
-      ()
-  in
-  (* metrics on, so the fabric dequeue engine's series get points *)
-  let r =
-    Obs.Control.with_enabled (fun () ->
-        Harness.Open_loop.run
-          ~config:
-            {
-              Harness.Open_loop.default with
-              seed = 0x7E1EL;
-              rate = 50_000.;
-              arrivals = (if smoke then 2_000 else 10_000);
-            }
-          fab)
-  in
-  Format.printf "  %a@." Harness.Open_loop.pp_result r;
-  Obs.Sampler.stop ();
-  let timeline = Obs.Sampler.timeline_json () in
-  Harness.Report.timeline_table Format.std_formatter timeline;
-  Obs.Sampler.clear ();
-  timeline
+  Format.printf "  %a@." Harness.Open_loop.pp_result t.fabric_run;
+  Harness.Report.timeline_table Format.std_formatter t.json;
+  t.json
 
 let write_json figs native batched ~robustness:(liveness, crash) ~profile
     ~memory ~soak ~fabric ~timeline =

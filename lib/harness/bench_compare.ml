@@ -405,8 +405,9 @@ let soak_entries doc =
   | None -> ([], [])
   | Some soak -> (list_of soak "native", list_of soak "sim")
 
-let markdown_summary ?(top = 3) fmt doc =
+let markdown_summary fmt doc =
   let open Format in
+  let top = 3 in
   fprintf fmt "## Benchmark summary@.@.";
   fprintf fmt "schema_version %d, %d pairs/point%s@.@." doc.schema_version
     doc.pairs

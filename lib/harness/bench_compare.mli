@@ -102,13 +102,13 @@ val ok : comparison -> bool
 val pp : Format.formatter -> comparison -> unit
 (** Terminal report, one line per compared point. *)
 
-val markdown_summary : ?top:int -> Format.formatter -> doc -> unit
+val markdown_summary : Format.formatter -> doc -> unit
 (** GitHub-flavoured markdown for [$GITHUB_STEP_SUMMARY]: headline
     native pairs/second table; the bytes-per-element and steady-state
     allocation table when the document carries the schema-5 [memory]
     section; the soak verdicts; the fabric shard-scaling and
     latency-under-offered-load tables when it carries the schema-7
     [fabric] section; the per-window telemetry quantile table when it
-    carries the schema-8 [timeline] section; and the [top] (default 3)
-    hottest simulated cache lines per queue when it carries the
+    carries the schema-8 [timeline] section; and the 3 hottest simulated
+    cache lines per queue when it carries the
     schema-4 [profile] section. *)

@@ -11,43 +11,16 @@ type result = {
 
 let survives_all r = r.blocked_trials = 0
 
-(* Same workload shape as the liveness sweep: every process runs its
-   share of enqueue/dequeue pairs and marks progress after each. *)
-let setup (module Q : Squeues.Intf.S) (params : Params.t) ?trace_limit () =
-  let cfg =
-    {
-      (Sim.Config.with_processors params.Params.processors) with
-      quantum = params.Params.quantum;
-      seed = params.Params.seed;
-    }
-  in
-  let eng = Sim.Engine.create cfg in
-  let trace =
-    Option.map (fun limit -> Sim.Engine.enable_trace ~limit eng) trace_limit
-  in
-  let options =
-    {
-      Squeues.Intf.pool = params.Params.pool;
-      bounded = false;
-      backoff = params.Params.backoff;
-    }
-  in
-  let q = Q.init ~options eng in
-  let n = params.Params.processors in
-  let per = params.Params.total_pairs / n in
-  let body i () =
-    for k = 1 to per do
-      Q.enqueue q ((i * 10_000_000) + k);
-      Sim.Api.work params.Params.other_work;
-      ignore (Q.dequeue q);
-      Sim.Api.work params.Params.other_work;
-      Sim.Api.progress ()
-    done
-  in
-  let pids = List.init n (fun i -> Sim.Engine.spawn eng (body i)) in
+(* The liveness sweep's workload, the first process the victim. *)
+let setup q params ?trace_limit () =
+  let eng, pids, trace = Liveness.setup q params ?trace_limit () in
   (eng, List.hd pids, trace)
 
-let run_trial (module Q : Squeues.Intf.S) params ~crash_after ~watchdog =
+(* Far above any legitimate inter-pair gap at this scale, small enough
+   that blocked trials end quickly. *)
+let watchdog = 2_000_000
+
+let run_trial (module Q : Squeues.Intf.S) params ~crash_after =
   let eng, victim, _ = setup (module Q) params () in
   Sim.Faults.inject eng victim (Sim.Faults.Crash { after_ops = crash_after });
   let outcome = Sim.Engine.run ~max_steps:params.Params.max_steps ~watchdog eng in
@@ -62,7 +35,7 @@ let params_of ~procs ~pairs ~seed =
   }
 
 let run (module Q : Squeues.Intf.S) ?(procs = 4) ?(pairs = 2_000)
-    ?(trials = 12) ?(watchdog = 2_000_000) ?seed () =
+    ?(trials = 12) ?seed () =
   let params = params_of ~procs ~pairs ~seed in
   (* reference run: how many simulator operations does the victim
      execute end-to-end?  Crash points are swept across that range. *)
@@ -75,7 +48,7 @@ let run (module Q : Squeues.Intf.S) ?(procs = 4) ?(pairs = 2_000)
   let points =
     Sim.Faults.crash_points ~trials ~total_ops:victim_total_ops
     |> List.map (fun crash_after ->
-           run_trial (module Q) params ~crash_after ~watchdog)
+           run_trial (module Q) params ~crash_after)
   in
   let blocked =
     List.length
@@ -90,21 +63,54 @@ let run (module Q : Squeues.Intf.S) ?(procs = 4) ?(pairs = 2_000)
     points;
   }
 
-let run_all ?(queues = Registry.all) ?procs ?pairs ?trials ?watchdog ?seed () =
-  List.map
-    (fun { Registry.algo; _ } ->
-      run algo ?procs ?pairs ?trials ?watchdog ?seed ())
-    queues
-
 (* Replay one crash point with tracing enabled, for exporting the trace
    tail of a Blocked verdict (msq_check crash --trace-out). *)
 let replay_traced (module Q : Squeues.Intf.S) ?(procs = 4) ?(pairs = 2_000)
-    ?(watchdog = 2_000_000) ?(trace_limit = 4_096) ?seed ~crash_after () =
+    ?(trace_limit = 4_096) ?seed ~crash_after () =
   let params = params_of ~procs ~pairs ~seed in
   let eng, victim, trace = setup (module Q) params ~trace_limit () in
   Sim.Faults.inject eng victim (Sim.Faults.Crash { after_ops = crash_after });
   let outcome = Sim.Engine.run ~max_steps:params.Params.max_steps ~watchdog eng in
   (outcome, Option.get trace, Sim.Engine.blocked eng)
+
+(* The acceptance sweep: the paper's dichotomy as a gate.  48 points
+   are dense enough that every blocking queue's critical section is
+   hit at least once. *)
+let sweep ?(keys = Registry.keys) ?(trials = 48) ?seed () =
+  List.map (fun key -> (key, run (Registry.find key) ~trials ?seed ())) keys
+
+let dichotomy results =
+  List.filter_map
+    (fun (key, r) ->
+      let blocked = r.blocked_trials > 0 in
+      let detail =
+        if blocked then
+          Printf.sprintf "blocked in %d/%d crash trials" r.blocked_trials
+            r.trials
+        else Printf.sprintf "survived all %d crash points" r.trials
+      in
+      if List.mem key Registry.nonblocking then
+        Some (Verdict.v ("non-blocking " ^ key) (not blocked) detail)
+      else if List.mem key Registry.keys then
+        Some (Verdict.v ("blocking " ^ key) blocked detail)
+      else None)
+    results
+
+let trace_first_blocked ?seed results =
+  List.find_map
+    (fun (key, r) ->
+      List.find_map
+        (fun t ->
+          if t.outcome = Sim.Engine.Completed then None
+          else
+            let _, trace, info =
+              replay_traced (Registry.find key) ?seed ~crash_after:t.crash_after
+                ()
+            in
+            let label = Printf.sprintf "%s crash after %d ops" key t.crash_after in
+            Some (label, trace, info))
+        r.points)
+    results
 
 let pp_result fmt r =
   Format.fprintf fmt "%-18s survived %d/%d crash points%s" r.algorithm

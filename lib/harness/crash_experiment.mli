@@ -36,31 +36,19 @@ val run :
   ?procs:int ->
   ?pairs:int ->
   ?trials:int ->
-  ?watchdog:int ->
   ?seed:int64 ->
   unit ->
   result
-(** Defaults: 4 processors, 2,000 pairs, 12 crash points, 2,000,000-cycle
-    watchdog window (far above any legitimate inter-pair gap at this
-    scale, small enough that blocked trials end quickly).  Raises
-    [Failure] if the uncrashed reference run does not complete. *)
-
-val run_all :
-  ?queues:Registry.entry list ->
-  ?procs:int ->
-  ?pairs:int ->
-  ?trials:int ->
-  ?watchdog:int ->
-  ?seed:int64 ->
-  unit ->
-  result list
-(** The sweep over a registry slice, default {!Registry.all}. *)
+(** Defaults: 4 processors, 2,000 pairs, 12 crash points; a
+    2,000,000-cycle watchdog window (far above any legitimate
+    inter-pair gap at this scale, small enough that blocked trials end
+    quickly).  Raises [Failure] if the uncrashed reference run does not
+    complete. *)
 
 val replay_traced :
   (module Squeues.Intf.S) ->
   ?procs:int ->
   ?pairs:int ->
-  ?watchdog:int ->
   ?trace_limit:int ->
   ?seed:int64 ->
   crash_after:int ->
@@ -72,3 +60,28 @@ val replay_traced :
     outcome for that point exactly. *)
 
 val pp_result : Format.formatter -> result -> unit
+
+(** {1 The dichotomy gate} *)
+
+val sweep :
+  ?keys:string list ->
+  ?trials:int ->
+  ?seed:int64 ->
+  unit ->
+  (string * result) list
+(** {!run} at its defaults for each key (default {!Registry.keys}, the
+    figures' six), with 48 crash points unless [?trials] says
+    otherwise — [msq_check crash]'s sweep. *)
+
+val dichotomy : (string * result) list -> Verdict.t list
+(** The paper's dichotomy, one verdict per key of {!Registry.keys}: a
+    {!Registry.nonblocking} one ("ms", "plj", "valois") must block in
+    no trial, the others ("single-lock", "two-lock", "mc") in at least
+    one.  Other keys get no verdict. *)
+
+val trace_first_blocked :
+  ?seed:int64 ->
+  (string * result) list ->
+  (string * Sim.Trace.t * Sim.Engine.blocked_info option) option
+(** Replay the first blocked trial of a sweep with tracing: its label
+    (["<key> crash after <n> ops"]), trace and watchdog verdict. *)

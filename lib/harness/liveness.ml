@@ -17,10 +17,7 @@ let verdict_string = function
   | Timed_out { trials_done } ->
       Printf.sprintf "timed_out after %d trials" trials_done
 
-(* One run, reporting the latest finish time among non-victim processes;
-   [None] if the run blocked or hit the step budget (counted as a
-   propagated delay by the caller). *)
-let run_once (module Q : Squeues.Intf.S) (params : Params.t) ~stall =
+let setup (module Q : Squeues.Intf.S) (params : Params.t) ?trace_limit () =
   let cfg =
     {
       (Sim.Config.with_processors params.Params.processors) with
@@ -29,6 +26,9 @@ let run_once (module Q : Squeues.Intf.S) (params : Params.t) ~stall =
     }
   in
   let eng = Sim.Engine.create cfg in
+  let trace =
+    Option.map (fun limit -> Sim.Engine.enable_trace ~limit eng) trace_limit
+  in
   let options =
     {
       Squeues.Intf.pool = params.Params.pool;
@@ -48,7 +48,13 @@ let run_once (module Q : Squeues.Intf.S) (params : Params.t) ~stall =
       Sim.Api.progress ()
     done
   in
-  let pids = List.init n (fun i -> Sim.Engine.spawn eng (body i)) in
+  (eng, List.init n (fun i -> Sim.Engine.spawn eng (body i)), trace)
+
+(* One run, reporting the latest finish time among non-victim processes;
+   [None] if the run blocked or hit the step budget (counted as a
+   propagated delay by the caller). *)
+let run_once q (params : Params.t) ~stall =
+  let eng, pids, _ = setup q params () in
   let victim = List.hd pids in
   (match stall with
   | Some fault -> Sim.Faults.inject eng victim fault

@@ -29,6 +29,16 @@ type result = {
   verdict : verdict;
 }
 
+val setup :
+  (module Squeues.Intf.S) ->
+  Params.t ->
+  ?trace_limit:int ->
+  unit ->
+  Sim.Engine.t * Sim.Engine.pid list * Sim.Trace.t option
+(** The workload of this sweep and {!Crash_experiment}'s: each process
+    makes its share of enqueue/dequeue pairs and marks progress after
+    each.  The first pid is the victim; [?trace_limit] turns tracing on. *)
+
 val non_blocking : result -> bool
 (** No trial propagated the delay. *)
 

@@ -32,23 +32,14 @@ let default =
   }
 
 (* ------------------------------------------------------------------ *)
-(* SplitMix64, the repo-wide deterministic generator. *)
+(* SplitMix64 ([Locks.Backoff]), the repo-wide deterministic generator. *)
 
-let golden = 0x9E3779B97F4A7C15L
-
-let mix64 z =
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+let mix64 = Locks.Backoff.mix64
 
 (* uniform in [0, 1), 53 mantissa bits *)
 let u01 st =
-  st := Int64.add !st golden;
-  Int64.to_float (Int64.shift_right_logical (mix64 !st) 11) /. 9007199254740992.
+  Int64.to_float (Int64.shift_right_logical (Locks.Backoff.next st) 11)
+  /. 9007199254740992.
 
 let per_producer cfg p =
   (cfg.arrivals / cfg.producers)

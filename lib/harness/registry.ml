@@ -20,6 +20,7 @@ let extras =
   ]
 
 let keys = List.map (fun e -> e.key) all
+let nonblocking = [ "valois"; "plj"; "ms" ]
 
 let find key =
   match List.find_opt (fun e -> e.key = key) (all @ extras) with

@@ -28,6 +28,10 @@ val find : string -> (module Squeues.Intf.S)
 val keys : string list
 (** Keys of {!all}, in figure order. *)
 
+val nonblocking : string list
+(** The keys of {!all} the paper proves non-blocking; the other three
+    block when a process dies holding a lock or a half-linked cell. *)
+
 (** {1 Native queues}
 
     The OCaml 5 implementations in {!Core}, {!Baselines} and {!Fabric},

@@ -69,25 +69,14 @@ let pp_report fmt r =
      else "AUDIT FAILED: " ^ String.concat "; " r.audit_failures)
 
 (* ------------------------------------------------------------------ *)
-(* Host-side deterministic decisions (victims, countdowns): SplitMix64,
-   the same generator as the chaos/backoff streams. *)
+(* Host-side deterministic decisions (victims, countdowns): SplitMix64
+   from [Locks.Backoff], the generator behind the chaos/backoff streams. *)
 
-let golden = 0x9E3779B97F4A7C15L
-
-let mix64 z =
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+let mix64 = Locks.Backoff.mix64
 
 let rng_of seed =
   let st = ref seed in
-  fun () ->
-    st := Int64.add !st golden;
-    Int64.to_int (Int64.shift_right_logical (mix64 !st) 2)
+  fun () -> Int64.to_int (Int64.shift_right_logical (Locks.Backoff.next st) 2)
 
 let n_rows = 128
 let row () = (Domain.self () :> int) land (n_rows - 1)
@@ -505,7 +494,7 @@ let between_ops_keys = [ "mc"; "plj"; "scq" ]
    restart-agnostic) and the chaos suites in test_fabric. *)
 let soak_excluded_keys = [ "fabric" ]
 
-let run_all ?keys ?rounds ?producers ?consumers ?ops ?deadline_s ~seed () =
+let run_all ?keys ?rounds ?ops ?deadline_s ~seed () =
   let wanted key =
     (not (List.mem key soak_excluded_keys))
     && match keys with None -> true | Some ks -> List.mem key ks
@@ -516,16 +505,15 @@ let run_all ?keys ?rounds ?producers ?consumers ?ops ?deadline_s ~seed () =
       else if e.key = "ms-hp" then
         let module S = Make (Core.Queue_intf.Unbounded (Core.Ms_queue_hp)) in
         Some
-          (S.run ~gauge:Core.Ms_queue_hp.pending_reclamation ?rounds ?producers
-             ?consumers ?ops ?deadline_s ~seed ())
+          (S.run ~gauge:Core.Ms_queue_hp.pending_reclamation ?rounds ?ops
+             ?deadline_s ~seed ())
       else
         let module S = Make ((val e.queue)) in
         let crash_mode =
           if List.mem e.key between_ops_keys then Between_ops else Mid_protocol
         in
         Some
-          (S.run ?rounds ?producers ?consumers ?ops ?deadline_s ~crash_mode
-             ~seed ()))
+          (S.run ?rounds ?ops ?deadline_s ~crash_mode ~seed ()))
     Registry.native
 
 (* ------------------------------------------------------------------ *)
@@ -533,7 +521,7 @@ let run_all ?keys ?rounds ?producers ?consumers ?ops ?deadline_s ~seed () =
    enqueue.  The conservation audit must catch it, or the soak's green
    means nothing. *)
 
-module Broken_ms : Core.Queue_intf.S = struct
+module Broken_ms = struct
   type 'a t = { q : 'a Core.Ms_queue.t; n : int Atomic.t }
 
   let name = "broken-ms"
@@ -710,3 +698,84 @@ let pp_sim_result fmt r =
          Printf.sprintf ", CONSERVATION VIOLATED (lost %d, phantom %d)" r.lost
            r.phantom
      else "")
+
+(* ------------------------------------------------------------------ *)
+(* The soak gate: self-test, simulated battery, native soak. *)
+
+type gate = {
+  seed : int64;
+  self_test : bool option;
+  sim : (string * sim_result) list;
+  native : report list;
+  flight_dump : (string * string) option;
+}
+
+let gate ?keys ?self_test:(planted = false) ?flight_out ?rounds ?ops
+    ?deadline_s ~seed () =
+  let self_test = if planted then Some (self_test ~seed) else None in
+  Option.iter (fun path -> Obs.Flight.arm_dump ~path) flight_out;
+  let sim =
+    List.filter_map
+      (fun (e : Registry.entry) ->
+        if Option.fold ~none:true ~some:(List.mem e.key) keys then
+          Some (e.key, List.hd (sim_battery ~queues:[ e ] ~seed ()))
+        else None)
+      Registry.all
+  in
+  let native = run_all ?keys ?rounds ?ops ?deadline_s ~seed () in
+  let flight_dump =
+    match flight_out with
+    | None -> None
+    | Some _ ->
+        let d = Obs.Flight.last_dump () in
+        Obs.Flight.disarm_dump ();
+        d
+  in
+  { seed; self_test; sim; native; flight_dump }
+
+let verdicts g =
+  (match g.self_test with
+  | None -> []
+  | Some caught ->
+      [
+        Verdict.v "self-test" caught
+          (if caught then "conservation audit caught the planted bug"
+           else "the planted element-dropping bug went undetected");
+      ])
+  @ List.map
+      (fun (key, r) ->
+        let stuck =
+          List.mem key Registry.nonblocking && r.sim_outcome <> "completed"
+        in
+        Verdict.v ("sim " ^ key)
+          (sim_ok r && not stuck)
+          (Format.asprintf "%a%s" pp_sim_result r
+             (if stuck then
+                " — a non-blocking algorithm must complete after crash+restart"
+              else "")))
+      g.sim
+  @ List.map
+      (fun r ->
+        Verdict.v ("native " ^ r.queue) (passed r)
+          (Format.asprintf "%a" pp_report r))
+      g.native
+
+let gate_json g =
+  let open Obs.Json in
+  Assoc
+    ([ ("seed", String (Printf.sprintf "0x%Lx" g.seed)) ]
+    @ (match g.self_test with
+      | None -> []
+      | Some b -> [ ("self_test", Bool b) ])
+    @ [
+        ("native", List (List.map report_json g.native));
+        ("sim", List (List.map (fun (_, r) -> sim_result_json r) g.sim));
+      ])
+
+let first_failure g =
+  List.find_opt (fun r -> not (passed r)) g.native
+  |> Option.map (fun r ->
+         String.concat "\n"
+           (Obs.Json.to_string_pretty (report_json r)
+           :: List.map (fun f -> "audit failure: " ^ f) r.audit_failures)
+         ^ "\n")

@@ -124,29 +124,13 @@ module Make (B : Core.Queue_intf.BOUNDED) : sig
       every end-of-round audit. *)
 end
 
-val run_all :
-  ?keys:string list ->
-  ?rounds:int ->
-  ?producers:int ->
-  ?consumers:int ->
-  ?ops:int ->
-  ?deadline_s:float ->
-  seed:int64 ->
-  unit ->
-  report list
-(** Every registered native queue ({!Registry.native}), each with the
-    crash mode its design requires ([Between_ops] for ["mc"], ["plj"]
-    and the bounded ring ["scq"]) and the hazard-pointer gauge wired
-    for ["ms-hp"].  [?keys] restricts to a subset.  ["fabric"] is excluded even when asked for: its
-    domain-keyed routing makes per-producer FIFO a per-domain promise,
-    which a restart's replacement domain deliberately breaks — its
-    crash/restart coverage lives in {!Open_loop}. *)
+module Broken_ms : Core.Queue_intf.S
+(** The planted bug: the MS queue silently dropping every 97th enqueue. *)
 
 val self_test : seed:int64 -> bool
-(** Planted-bug check: soaks a deliberately broken queue (silently drops
-    every 97th enqueue) and returns [true] iff the conservation audit
-    catches it — proof the oracle has teeth, run by [msq_check soak]
-    before trusting a green result. *)
+(** Planted-bug check: soaks {!Broken_ms} and returns [true] iff the
+    conservation audit catches it — proof the oracle has teeth, run by
+    [msq_check soak] before trusting a green result. *)
 
 (** {1 Simulator mirror}
 
@@ -172,8 +156,6 @@ type sim_result = {
 val sim_ok : sim_result -> bool
 (** [Completed] with conservation, or a structured [Blocked] verdict. *)
 
-val sim_result_json : sim_result -> Obs.Json.t
-
 val sim_battery :
   ?queues:Registry.entry list ->
   ?procs:int ->
@@ -187,4 +169,54 @@ val sim_battery :
     replacement enqueues a fresh range [restart_after] cycles later.
     Defaults: 4 processors, 400 enqueues per producer. *)
 
-val pp_sim_result : Format.formatter -> sim_result -> unit
+(** {1 The soak gate}
+
+    One function behind [msq_check soak] and the benchmark's [soak]
+    section: the optional planted-bug self-test, the simulated
+    crash+restart battery and the native soak, with the flight
+    recorder's anomaly latch armed in between. *)
+
+type gate = {
+  seed : int64;
+  self_test : bool option;  (** [None] when the self-test did not run *)
+  sim : (string * sim_result) list;  (** registry key, battery result *)
+  native : report list;
+  flight_dump : (string * string) option;
+      (** path and reason of the flight recorder's dump, when [?flight_out]
+          armed it and an anomaly fired *)
+}
+
+val gate :
+  ?keys:string list ->
+  ?self_test:bool ->
+  ?flight_out:string ->
+  ?rounds:int ->
+  ?ops:int ->
+  ?deadline_s:float ->
+  seed:int64 ->
+  unit ->
+  gate
+(** The battery over {!Registry.all}, then {!Make}'s soak of every
+    registered native queue ({!Registry.native}) with 2 producers and 2
+    consumers, each with the crash mode its design requires
+    ([Between_ops] for ["mc"], ["plj"] and the bounded ring ["scq"])
+    and the hazard-pointer gauge wired for ["ms-hp"]; [?keys]
+    restricts both.  ["fabric"] is never soaked: its domain-keyed
+    routing makes per-producer FIFO a per-domain promise, which a
+    restart's replacement domain deliberately breaks — its
+    crash/restart coverage lives in {!Open_loop}.  [?self_test]
+    (default [false]) first runs {!self_test}; [?flight_out] then arms
+    {!Obs.Flight.arm_dump}, so the planted bug never claims the latch,
+    and disarms it at the end. *)
+
+val verdicts : gate -> Verdict.t list
+(** The self-test caught its bug; each battery result is {!sim_ok}, and
+    the non-blocking ["ms"], ["plj"] and ["valois"] completed; each
+    native report {!passed}. *)
+
+val gate_json : gate -> Obs.Json.t
+(** [{seed, self_test, native, sim}], [self_test] only when it ran. *)
+
+val first_failure : gate -> string option
+(** The first failing native report, as pretty JSON followed by one
+    ["audit failure: ..."] line per failed audit. *)

@@ -1,4 +1,6 @@
-(** Bounded exponential backoff for native (multi-domain) spinning.
+(** Bounded exponential backoff for native (multi-domain) spinning, and
+    the SplitMix64 generator every library above the simulator draws
+    from.
 
     The paper's locks are test-and-test&set with bounded exponential
     backoff [12, 1]; its non-blocking algorithms back off after failed
@@ -7,8 +9,8 @@
     below a bound that doubles up to a limit.  State is cheap to create
     per operation; reuse within an operation, not across domains.
 
-    Jitter comes from per-domain SplitMix64 streams (the same generator
-    and row discipline as [Obs.Chaos]): each domain draws from its own
+    Jitter comes from a bank of per-domain SplitMix64 streams (the same
+    kind of bank [Obs.Chaos] keeps): each domain draws from its own
     stream seeded by (seed, domain id), so two domains that fail the
     same CAS never back off in lockstep, and the whole sequence is
     reproducible per seed via {!reseed}. *)
@@ -27,3 +29,24 @@ val once : t -> unit
 (** Spin once and double the bound (saturating). *)
 
 val reset : t -> unit
+
+(** {1 SplitMix64} *)
+
+val mix64 : int64 -> int64
+(** SplitMix64's output function. *)
+
+val next : int64 ref -> int64
+(** Advance a single stream by the golden gamma and return its output. *)
+
+type streams
+(** A bank of streams, one 64-byte row per domain (domain id modulo
+    128), so a draw is allocation-free and rows share no cache line. *)
+
+val streams : int64 -> streams
+(** [streams seed]: row [r] starts at [mix64 (seed + r + 1)]. *)
+
+val reseed_streams : streams -> int64 -> unit
+
+val draw : streams -> int
+(** The calling domain's next draw: the top 62 bits of its stream's
+    output, a non-negative [int]. *)

@@ -544,3 +544,60 @@ let check_bounded_random ?(max_preemptions = 3) ?(max_steps = 10_000)
 let replay_bounded ?(max_steps = 10_000) q scenario schedule =
   with_bounded_spec q scenario
     { go = (fun s -> (N.run s ~schedule ~budget:0 ~max_steps).N.status) }
+
+(* ------------------------------------------------------------------ *)
+(* The battery and its planted-bug self-test, as [msq_check
+   mcheck-native] runs them. *)
+
+type run = { queue : string; scenario : string; outcome : Explore.outcome }
+
+let battery ?max_preemptions ?max_steps ?queue ?scenario () =
+  (* A name picks its entries from each table: "scq" is in both the
+     unbounded one (an adapter for the shared battery) and the bounded
+     one (the real try_enqueue/try_dequeue battery). *)
+  let pick name key table =
+    match name with
+    | None -> table
+    | Some n -> List.filter (fun x -> key x = n) table
+  in
+  let qs = pick queue fst queues and bqs = pick queue fst bqueues in
+  let ss = pick scenario (fun s -> s.sname) scenarios
+  and bss = pick scenario (fun b -> b.bname) bounded_scenarios in
+  let unknown what name have =
+    Error
+      (Printf.sprintf "unknown %s %S (have: %s)" what (Option.get name)
+         (String.concat ", " have))
+  in
+  if qs = [] && bqs = [] then
+    unknown "queue" queue
+      (List.sort_uniq compare (List.map fst queues @ List.map fst bqueues))
+  else if ss = [] && bss = [] then
+    unknown "scenario" scenario
+      (List.map (fun s -> s.sname) scenarios
+      @ List.map (fun b -> b.bname) bounded_scenarios)
+  else
+    let runs table scripts name check =
+      List.concat_map
+        (fun (queue, q) ->
+          List.map
+            (fun s -> { queue; scenario = name s; outcome = check q s })
+            scripts)
+        table
+    in
+    Ok
+      (runs qs ss
+         (fun s -> s.sname)
+         (fun q s -> check ?max_preemptions ?max_steps q s)
+      @ runs bqs bss
+          (fun b -> b.bname)
+          (fun q b -> check_bounded ?max_preemptions ?max_steps q b))
+
+let self_test ?max_preemptions ?max_steps () =
+  let s = pairs ~procs:2 ~ops:1 in
+  let b = Option.get (find_bounded_scenario "b-empty-race") in
+  let ms = check ?max_preemptions ?max_steps broken s in
+  let scq = check_bounded ?max_preemptions ?max_steps broken_bounded b in
+  [
+    { queue = "broken-ms"; scenario = s.sname; outcome = ms };
+    { queue = "broken-scq"; scenario = b.bname; outcome = scq };
+  ]

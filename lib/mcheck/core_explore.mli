@@ -164,3 +164,25 @@ val replay_bounded :
   bounded_scenario ->
   Explore.schedule ->
   [ `Completed | `Diverged | `Failed of Explore.failure ]
+
+(** {2 The battery} *)
+
+type run = { queue : string; scenario : string; outcome : Explore.outcome }
+
+val battery :
+  ?max_preemptions:int ->
+  ?max_steps:int ->
+  ?queue:string ->
+  ?scenario:string ->
+  unit ->
+  (run list, string) result
+(** Every queue of {!queues} under every scenario of {!scenarios}, then
+    every queue of {!bqueues} under every {!bounded_scenarios} entry —
+    or the entries a [?queue] / [?scenario] name resolves to in each
+    table ("scq" is in both).  [Error] names an unknown queue or
+    scenario and lists the known ones. *)
+
+val self_test : ?max_preemptions:int -> ?max_steps:int -> unit -> run list
+(** The planted bugs: {!broken} under ["pairs-2x1"] and
+    {!broken_bounded} under ["b-empty-race"].  Each outcome must carry a
+    failure, or the checker proves nothing. *)

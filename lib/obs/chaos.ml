@@ -1,29 +1,14 @@
-(* SplitMix64, the same generator as the simulator's [Sim.Rng],
-   re-implemented here because [Obs] does not depend on the simulator.
-   One stream per domain row (padding discipline as in [Locks.Probe]),
-   each seeded from the global seed plus the row index, so the delay
-   sequence any domain sees is a pure function of (seed, domain id). *)
-
-let n_rows = 128
-let golden = 0x9E3779B97F4A7C15L
-
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+(* One stream per domain row from [Locks.Backoff]'s SplitMix64 bank
+   (padding discipline as in [Locks.Probe]), each seeded from the global
+   seed plus the row index, so the delay sequence any domain sees is a
+   pure function of (seed, domain id). *)
 
 type config = { seed : int64; one_in : int; max_delay : int }
 
 let default = { seed = 0x6368616F73L (* "chaos" *); one_in = 4; max_delay = 96 }
 let config = ref default
-let states = Array.make n_rows 0L
-
-let reseed () =
-  for r = 0 to n_rows - 1 do
-    states.(r) <- mix64 (Int64.add !config.seed (Int64.of_int (r + 1)))
-  done
-
-let () = reseed ()
+let streams = Locks.Backoff.streams default.seed
+let reseed () = Locks.Backoff.reseed_streams streams !config.seed
 
 let configure ?seed ?one_in ?max_delay () =
   let c = !config in
@@ -45,14 +30,6 @@ let configure ?seed ?one_in ?max_delay () =
 
 let current () = !config
 
-let row () = (Domain.self () :> int) land (n_rows - 1)
-
-let next_bits () =
-  let r = row () in
-  let s = Int64.add states.(r) golden in
-  states.(r) <- s;
-  Int64.to_int (Int64.shift_right_logical (mix64 s) 2)
-
 let hit_count = Atomic.make 0
 let hits () = Atomic.get hit_count
 let reset_hits () = Atomic.set hit_count 0
@@ -64,7 +41,7 @@ let enabled () = !on
    (1/16th of the delays) a long one standing in for a preemption. *)
 let perturb () =
   let c = !config in
-  let bits = next_bits () in
+  let bits = Locks.Backoff.draw streams in
   if bits mod c.one_in = 0 then begin
     Atomic.incr hit_count;
     let scale = if (bits / c.one_in) mod 16 = 0 then 16 * c.max_delay else c.max_delay in

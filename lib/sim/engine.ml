@@ -463,18 +463,25 @@ let run ?(max_steps = 1_000_000_000) ?watchdog t =
   | Some w when w <= 0 -> invalid_arg "Engine.run: watchdog must be positive"
   | Some _ -> t.last_progress <- max t.last_progress t.max_clock
   | None -> ());
-  (* Replacement processes planned by crash+restart join the system the
-     first time the global clock reaches their revival cycle.  Firing
-     counts as progress (it is externally scheduled activity, like a
-     legitimate sleep). *)
+  (* Replacement processes planned by crash+restart join the system once
+     their processor's timeline reaches the revival cycle, so the
+     replacement's first operation never starts before it: an idle
+     processor (no live process) is moved up to that cycle when the
+     global clock gets there; a busy one holds the revival until its own
+     clock does.  Firing counts as progress (it is externally scheduled
+     activity, like a legitimate sleep). *)
+  let due (at, cpu, _) =
+    let c = t.processors.(cpu) in
+    c.clock >= at || (c.live = 0 && at <= t.max_clock)
+  in
   let fire_due_revivals () =
-    let due, later =
-      List.partition (fun (at, _, _) -> at <= t.max_clock) t.revivals
-    in
+    let due, later = List.partition due t.revivals in
     if due <> [] then begin
       t.revivals <- later;
       List.iter
-        (fun (_, cpu, body) ->
+        (fun (at, cpu, body) ->
+          let c = t.processors.(cpu) in
+          c.clock <- max c.clock at;
           ignore (spawn ~cpu t body);
           t.last_progress <- max t.last_progress t.max_clock)
         due

@@ -357,22 +357,20 @@ let test_bench_fabric_gates () =
 (* Simulated fabric: scaling and the disjoint-writer verdict *)
 
 let test_sim_scaling_and_disjoint () =
-  let params =
-    { Harness.Params.default with total_pairs = 800; processors = 8 }
+  let f =
+    Harness.Gate.fabric ~shards:8 ~native_shards:8 ~pairs:800 ~arrivals:0 []
   in
-  let run shards =
-    Harness.Workload.run ~heatmap:true
-      (Squeues.Fabric_queue.algo ~shards)
-      params
-  in
-  let m1 = run 1 and m8 = run 8 in
   Alcotest.(check bool) "both complete" true
-    Harness.Workload.(m1.completed && m8.completed);
+    Harness.Workload.(f.single.completed && f.sharded.completed);
+  let verdict name =
+    List.exists
+      (fun (v : Harness.Verdict.t) -> v.name = name && v.ok)
+      (Harness.Gate.fabric_verdicts f)
+  in
   Alcotest.(check bool) "8 shards at least 3x cheaper per pair" true
-    (m1.Harness.Workload.net_per_pair
-    >= 3. *. m8.Harness.Workload.net_per_pair);
+    (verdict "sim-scaling>=3x");
   Alcotest.(check bool) "writers disjoint at 8 shards" true
-    (Squeues.Fabric_queue.writers_disjoint m8.Harness.Workload.heatmap)
+    (verdict "writers-disjoint")
 
 let test_writers_disjoint_detects_overlap () =
   let line ~label ~writers =

@@ -170,37 +170,16 @@ let test_crash_sweep_deterministic () =
   Alcotest.(check int) "trials recorded" 12 (List.length a.Harness.Crash_experiment.points)
 
 let test_crash_dichotomy () =
-  let sweep algo trials =
-    Harness.Crash_experiment.run algo ~procs:4 ~pairs:2_000 ~trials ()
+  (* the non-blocking algorithms survive EVERY crash point; the
+     blocking algorithms are each caught at least once *)
+  let verdicts =
+    Harness.Crash_experiment.dichotomy (Harness.Crash_experiment.sweep ())
   in
-  let survives r = r.Harness.Crash_experiment.blocked_trials = 0 in
-  (* the non-blocking algorithms survive EVERY crash point *)
+  Alcotest.(check int) "six classified algorithms" 6 (List.length verdicts);
   List.iter
-    (fun algo ->
-      let r = sweep algo 48 in
-      if not (survives r) then
-        Alcotest.failf "%s blocked in %d/%d crash trials"
-          r.Harness.Crash_experiment.algorithm
-          r.Harness.Crash_experiment.blocked_trials
-          r.Harness.Crash_experiment.trials)
-    [
-      (module Squeues.Ms_queue : Squeues.Intf.S);
-      (module Squeues.Plj_queue);
-      (module Squeues.Valois_queue);
-    ];
-  (* the blocking algorithms are each caught at least once *)
-  List.iter
-    (fun algo ->
-      let r = sweep algo 48 in
-      if survives r then
-        Alcotest.failf "%s survived all %d crash points — expected blocking"
-          r.Harness.Crash_experiment.algorithm
-          r.Harness.Crash_experiment.trials)
-    [
-      (module Squeues.Single_lock_queue : Squeues.Intf.S);
-      (module Squeues.Two_lock_queue);
-      (module Squeues.Mc_queue);
-    ]
+    (fun (v : Harness.Verdict.t) ->
+      if not v.ok then Alcotest.failf "%s: %s" v.name v.detail)
+    verdicts
 
 let test_blocked_replay_traced () =
   let r =
@@ -325,6 +304,22 @@ let test_configure_rejects_nonsense () =
     (Invalid_argument "Chaos.configure: max_delay 0 < 1") (fun () ->
       Obs.Chaos.configure ~max_delay:0 ())
 
+(* An enabled site that decides not to delay is a draw from the
+   domain's unboxed stream row: no allocation. *)
+let test_chaos_draw_allocates_nothing () =
+  Obs.Chaos.configure ~one_in:1_000_000 ();
+  Obs.Chaos.with_enabled (fun () ->
+      Obs.Chaos.maybe_delay "warm";
+      let n = 10_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        Obs.Chaos.maybe_delay "site"
+      done;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+      if per_call >= 0.01 then
+        Alcotest.failf "a chaos site allocates %.2f minor words" per_call);
+  Obs.Chaos.configure ~one_in:Obs.Chaos.default.one_in ()
+
 (* ------------------------------------------------------------------ *)
 (* Hazard-pointer robustness: a stalled domain holding a hazard pointer
    must BOUND reclamation, not leak it (Michael 2004, Section 4) *)
@@ -436,6 +431,8 @@ let suites =
           test_chaos_batch_wrapper;
         Alcotest.test_case "configure validates" `Quick
           test_configure_rejects_nonsense;
+        Alcotest.test_case "chaos draws allocate nothing" `Quick
+          test_chaos_draw_allocates_nothing;
         Alcotest.test_case "hazard pointers bound reclamation under a \
                             stalled reader" `Slow
           test_hp_bounded_under_stalled_reader;

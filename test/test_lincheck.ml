@@ -550,28 +550,13 @@ let qcheck_bounded_sequential_scq =
 
 let test_bounded_two_domain_scq () =
   (* 2 domains hammering a capacity-2 SCQ, every operation recorded;
-     the history must linearize against the bounded spec.  This is the
-     [msq_check native-lin] loop in miniature, kept in tier 1. *)
-  let module Q = Core.Scq_queue in
-  for round = 1 to 8 do
-    let q = Q.create ~capacity:2 () in
-    let r = History.create_recorder () in
-    let body proc () =
-      for k = 1 to 40 do
-        let v = (proc * 10_000) + k in
-        History.record r ~proc (fun () ->
-            History.Try_enq (v, Q.try_enqueue q v));
-        History.record r ~proc (fun () -> History.Deq (Q.try_dequeue q))
-      done
-    in
-    let d = Domain.spawn (body 1) in
-    body 0 ();
-    Domain.join d;
-    match Checker.check ~capacity:(Q.capacity q) (History.history r) with
-    | Checker.Linearizable | Checker.Inconclusive -> ()
-    | Checker.Not_linearizable ->
-        Alcotest.failf "round %d: bounded SCQ history not linearizable" round
-  done
+     each history must linearize against the bounded spec.  The
+     [msq_check native-lin] gate itself, at 8 rounds of 40. *)
+  List.iter
+    (fun (v : Harness.Verdict.t) ->
+      if not v.ok then Alcotest.failf "bounded SCQ: %s" v.detail)
+    (Harness.Gate.native_lin_queue ~rounds:8 ~ops:40 ~name:"scq"
+       (module Core.Scq_queue))
 
 let suites =
   [

@@ -106,6 +106,69 @@ let test_backoff_allocates_nothing () =
   if per_call >= 0.01 then
     Alcotest.failf "Backoff.once allocates %.2f minor words per call" per_call
 
+(* The SplitMix64 draws behind the backoff jitter, the chaos delays and
+   the open-loop schedule, pinned to the values these generators
+   produced when each library kept its own copy: the MD5 of the first
+   1,000 draws (comma-joined decimal) of the calling domain's stream,
+   per seed.  The chaos stream is observed through its hits: at
+   [one_in = 2] a site is perturbed iff the draw is even. *)
+let test_splitmix_pinned () =
+  let md5 l = Digest.to_hex (Digest.string (String.concat "," l)) in
+  let bank seed =
+    let s = Locks.Backoff.streams seed in
+    md5 (List.init 1000 (fun _ -> string_of_int (Locks.Backoff.draw s)))
+  in
+  Alcotest.(check string) "bank, seed 1" "f212e78548f467efc919d5da969674f3"
+    (bank 1L);
+  Alcotest.(check string) "bank, backoff seed"
+    "50e11d9f28759eb3e389558d5fc137d4" (bank 0x6A697474L);
+  Alcotest.(check string) "bank, chaos seed"
+    "a3f9846c41f26000e24cd3c52926473c" (bank 0x6368616F73L);
+  let chaos_hits seed =
+    Obs.Chaos.configure ~seed ~one_in:2 ~max_delay:1 ();
+    Obs.Chaos.reset_hits ();
+    let hits =
+      Obs.Chaos.with_enabled (fun () ->
+          String.init 1000 (fun _ ->
+              let h = Obs.Chaos.hits () in
+              Obs.Chaos.maybe_delay "pin";
+              if Obs.Chaos.hits () > h then '1' else '0'))
+    in
+    let d = Obs.Chaos.default in
+    Obs.Chaos.configure ~seed:d.seed ~one_in:d.one_in ~max_delay:d.max_delay ();
+    Digest.to_hex (Digest.string hits)
+  in
+  Alcotest.(check string) "chaos hits, seed 1"
+    "172a158b9f905ceed1d48fd69461c289" (chaos_hits 1L);
+  Alcotest.(check string) "chaos hits, chaos seed"
+    "abd78b46d791160ba6b7b35763378fa1" (chaos_hits 0x6368616F73L);
+  let cfg =
+    { Harness.Open_loop.default with seed = 7L; arrivals = 300; producers = 3 }
+  in
+  let ints a = Array.to_list (Array.map string_of_int a) in
+  List.iteri
+    (fun p want ->
+      Alcotest.(check string)
+        (Printf.sprintf "schedule, producer %d" p)
+        want
+        (md5 (ints (Harness.Open_loop.schedule cfg).(p))))
+    [
+      "f8f6f5c4eb078540a73275659e60e621";
+      "a781b684a009a4ab8dc0958ff72a5470";
+      "829622c7a5b9dcb33f242f7aafb164e7";
+    ];
+  List.iteri
+    (fun p want ->
+      Alcotest.(check string)
+        (Printf.sprintf "zipf keys, producer %d" p)
+        want
+        (md5 (ints (Harness.Open_loop.keys_for { cfg with key_skew = 1.2 } p))))
+    [
+      "86a41c5adb41df26cc4ffa4e2c3b65d3";
+      "da5ebbd9e16da0c48e90e649839eb1c3";
+      "d9e03fcf1aee036ed78ad6305adee2ee";
+    ]
+
 let test_backoff_invalid () =
   Alcotest.check_raises "bad params" (Invalid_argument "Backoff.create") (fun () ->
       ignore (Locks.Backoff.create ~initial:8 ~limit:4 ()))
@@ -247,6 +310,7 @@ let suites =
         Alcotest.test_case "backoff bounds" `Quick test_backoff_bounds;
         Alcotest.test_case "backoff allocates nothing" `Quick
           test_backoff_allocates_nothing;
+        Alcotest.test_case "splitmix draws pinned" `Quick test_splitmix_pinned;
         Alcotest.test_case "backoff invalid" `Quick test_backoff_invalid;
       ] );
     ( "locks.probe",

@@ -20,4 +20,5 @@ let () =
          Test_soak.suites;
          Test_fabric.suites;
          Test_telemetry.suites;
+         Test_gate.suites;
        ])

@@ -742,6 +742,51 @@ let golden_crash_restart () =
   ignore (Engine.run eng);
   golden_rows "crash_restart" eng [ p0; p1; p2; !replacement ]
 
+(* A crash+restart replacement's first operation never starts before
+   its revival cycle (crash cycle + [restart_after]), whether its
+   processor idled behind the global clock or is still busy. *)
+let test_revival_idle_processor () =
+  let eng = golden_engine () in
+  let a = Engine.setup_alloc eng 1 in
+  let p0 = Engine.spawn ~cpu:0 eng (faa_loop a 30) in
+  let _p1 = Engine.spawn ~cpu:0 eng (faa_loop a 30) in
+  let p2 = Engine.spawn ~cpu:1 eng (faa_loop a 10) in
+  Engine.plan_crash_restart eng p0 ~after_ops:15 ~restart_after:20_000
+    (faa_loop a 10);
+  Engine.plan_crash eng p2 ~after_ops:9;
+  ignore (Engine.run eng);
+  Alcotest.(check bool) "restart_after delays the replacement" true
+    (Engine.elapsed eng >= 20_000)
+
+let test_revival_busy_processor () =
+  (* cpu 1 leaps a million cycles ahead in one operation, so the global
+     clock passes the revival cycle while cpu 0 is still busy with p1 *)
+  let eng = golden_engine () in
+  let victim_last = ref 0 and started = ref (-1) in
+  let p0 =
+    Engine.spawn ~cpu:0 eng (fun () ->
+        for _ = 1 to 20 do
+          Api.work 50;
+          victim_last := Api.now ()
+        done)
+  in
+  let _p1 =
+    Engine.spawn ~cpu:0 eng (fun () ->
+        for _ = 1 to 2_000 do
+          Api.work 50
+        done)
+  in
+  let _p2 = Engine.spawn ~cpu:1 eng (fun () -> Api.work 1_000_000) in
+  Engine.plan_crash_restart eng p0 ~after_ops:10 ~restart_after:5_000
+    (fun () -> started := Api.now ());
+  (match Engine.run eng with
+  | Engine.Completed -> ()
+  | _ -> Alcotest.fail "the system should complete");
+  Alcotest.(check bool) "replacement ran" true (!started >= 0);
+  if !started < !victim_last + 5_000 then
+    Alcotest.failf "replacement started at cycle %d, before %d + 5000"
+      !started !victim_last
+
 let golden_scq_full () =
   (* two producers per processor against slow consumers: the 4-slot
      ring fills and the producers yield to each other *)
@@ -900,6 +945,10 @@ let suites =
         Alcotest.test_case "idle jump" `Quick test_engine_idle_jump;
         Alcotest.test_case "bad address charges nothing" `Quick
           test_engine_bad_address_charges_nothing;
+        Alcotest.test_case "revival on an idle processor" `Quick
+          test_revival_idle_processor;
+        Alcotest.test_case "revival on a busy processor" `Quick
+          test_revival_busy_processor;
         Alcotest.test_case "backoff growth" `Quick test_backoff_growth;
         Alcotest.test_case "utilization" `Quick test_utilization;
       ] );
