@@ -564,8 +564,8 @@ let mcheck_native_cmd =
          & info [ "scenario" ] ~docv:"NAME"
              ~doc:"Run one scenario (enq-enq, deq-empty, tail-lag, \
                    pairs-2x1, pairs-2x2, pairs-3x1, or the bounded \
-                   b-full-race, b-empty-race, b-wrap); the whole battery by \
-                   default.")
+                   b-full-race, b-empty-race, b-wrap, b-length); the whole \
+                   battery by default.")
   in
   let preemptions =
     Arg.(value & opt int 2 & info [ "preemptions" ] ~doc:"Preemption budget.")

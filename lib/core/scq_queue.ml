@@ -18,13 +18,16 @@
    A bounded queue of arbitrary values is then two rings and a data
    array (the paper's own construction): [fq] holds the free indices
    (initially 0..n−1) and [aq] the allocated ones (initially empty).
-   [try_enqueue] takes an index from [fq] — [None] there is an exact
+   [try_enqueue] takes an index from [fq] — no index there is an exact
    full verdict, because [fq] is empty iff all [n] indices are checked
    out — writes the value, and publishes the index through [aq];
    [try_dequeue] reverses the path.  Index ownership is exclusive
    between the rings, so the plain [data] accesses are published by the
    ring atomics (the CAS that deposits index [i] happens-before the
-   read that consumes it).
+   read that consumes it).  The data array is untyped and holds each
+   value as itself, with a private sentinel in free slots, and a ring
+   hands out an index as a bare int: an enqueue;dequeue pair allocates
+   only the [Some] that [try_dequeue] returns.
 
    The paper's [cache_remap] (spreading consecutive slots across cache
    lines) is deliberately omitted: it permutes slots without changing
@@ -49,11 +52,20 @@ module Make (A : Atomic_intf.ATOMIC) = struct
   type 'a t = {
     aq : ring; (* allocated indices: carries the FIFO order *)
     fq : ring; (* free indices: carries the capacity accounting *)
-    data : 'a option array;
+    data : Obj.t array; (* slot i holds an ['a] while index i is in [aq] *)
     cap : int;
   }
 
   let name = "scq"
+
+  (* A free slot: a private block that no caller can enqueue, so a slot
+     read before its write is published fails loudly; it is not a
+     float, so the array is never a float array, and it keeps no
+     dequeued value alive. *)
+  let free = Obj.repr (ref ())
+
+  (* [deq_ring]'s "no index": the ring was observed empty. *)
+  let no_index = -1
 
   let imask r = (1 lsl r.order) - 1 (* index field mask; also ⊥ *)
   let safe_bit r = 1 lsl r.order
@@ -136,7 +148,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
     end
 
   let rec deq_ring r =
-    if A.get r.threshold < 0 then None (* certainly empty *)
+    if A.get r.threshold < 0 then no_index (* certainly empty *)
     else begin
       let h = A.fetch_and_add r.head 1 in
       let hcycle = h lsr r.order in
@@ -151,8 +163,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
          safe bit kept).  The CAS can lose only to a later dequeuer
          marking the entry unsafe, so it converges. *)
       Locks.Probe.site "scq.ring.consume";
-      if A.compare_and_set r.entries.(j) e (e lor imask r) then
-        Some (entry_idx r e)
+      if A.compare_and_set r.entries.(j) e (e lor imask r) then entry_idx r e
       else begin
         Locks.Probe.cas_retry ();
         consume r ~h ~hcycle ~j (A.get r.entries.(j))
@@ -189,9 +200,9 @@ module Make (A : Atomic_intf.ATOMIC) = struct
           Locks.Probe.help ();
           catchup r ~tail:t ~head:(h + 1);
           ignore (A.fetch_and_add r.threshold (-1));
-          None
+          no_index
         end
-        else if A.fetch_and_add r.threshold (-1) <= 0 then None
+        else if A.fetch_and_add r.threshold (-1) <= 0 then no_index
         else deq_ring r
       end
     end
@@ -208,7 +219,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
     {
       aq = make_ring ~order ~prefill:0;
       fq = make_ring ~order ~prefill:cap;
-      data = Array.make cap None;
+      data = Array.make cap free;
       cap;
     }
 
@@ -216,43 +227,48 @@ module Make (A : Atomic_intf.ATOMIC) = struct
 
   let try_enqueue t v =
     Locks.Probe.phase_begin "scq.enq";
-    let ok =
-      match deq_ring t.fq with
-      | None -> false (* no free index: exact full verdict *)
-      | Some i ->
-          t.data.(i) <- Some v;
-          Locks.Probe.site "scq.enq.publish";
-          enq_ring t.aq i;
-          true
-    in
+    let i = deq_ring t.fq in
+    (* no free index: exact full verdict *)
+    let ok = i <> no_index in
+    if ok then begin
+      t.data.(i) <- Obj.repr v;
+      Locks.Probe.site "scq.enq.publish";
+      (* the CAS that deposits [i] publishes the slot write above *)
+      enq_ring t.aq i
+    end;
     Locks.Probe.phase_end "scq.enq";
     ok
 
   let try_dequeue t =
     Locks.Probe.phase_begin "scq.deq";
+    let i = deq_ring t.aq in
     let r =
-      match deq_ring t.aq with
-      | None -> None
-      | Some i ->
-          let v = t.data.(i) in
-          (* clear before recycling the index, so dequeued items are
-             not retained by the ring *)
-          t.data.(i) <- None;
-          Locks.Probe.site "scq.deq.recycle";
-          enq_ring t.fq i;
-          (match v with Some _ -> v | None -> assert false)
+      if i = no_index then None
+      else begin
+        let v = t.data.(i) in
+        assert (v != free);
+        (* clear before recycling the index, so dequeued items are
+           not retained by the ring *)
+        t.data.(i) <- free;
+        Locks.Probe.site "scq.deq.recycle";
+        enq_ring t.fq i;
+        Some (Obj.obj v)
+      end
     in
     Locks.Probe.phase_end "scq.deq";
     r
 
-  (* Exact at quiescence; racy snapshots stay within [0, cap] because
-     each of the [cap] indices occupies at most one live [aq] entry at
-     any instant (an index is ⊥-ed out of [aq] before it re-enters
-     [fq], and must leave [fq] before it can be deposited again). *)
+  (* Exact at quiescence.  A racy fold is not a snapshot: one load per
+     slot lets an index counted at one slot be dequeued, recycled
+     through [fq] and deposited at a later slot before the fold reaches
+     it, so it can be counted twice.  Clamping to [cap] keeps the
+     [0 <= length <= capacity] bound of [BOUNDED.length]. *)
   let length t =
-    Array.fold_left
-      (fun acc e -> if entry_idx t.aq (A.get e) <> imask t.aq then acc + 1 else acc)
-      0 t.aq.entries
+    min t.cap
+      (Array.fold_left
+         (fun acc e ->
+           if entry_idx t.aq (A.get e) <> imask t.aq then acc + 1 else acc)
+         0 t.aq.entries)
 
   let is_empty t = length t = 0
 end

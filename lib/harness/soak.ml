@@ -554,13 +554,13 @@ type sim_result = {
   conservation_ok : bool;
   lost : int;
   phantom : int;
+  points : int;
+  blocked_points : int;
 }
 
 let sim_ok r =
-  match r.sim_outcome with
-  | "completed" -> r.conservation_ok
-  | "blocked" -> true
-  | _ -> false
+  r.conservation_ok
+  && (r.sim_outcome = "completed" || r.sim_outcome = "blocked")
 
 let sim_result_json r =
   let open Obs.Json in
@@ -573,6 +573,8 @@ let sim_result_json r =
       ("lost", Int r.lost);
       ("phantom", Int r.phantom);
       ("ok", Bool (sim_ok r));
+      ("points", Int r.points);
+      ("blocked_points", Int r.blocked_points);
     ]
 
 let outcome_string = function
@@ -628,53 +630,89 @@ let sim_trial (module Q : Squeues.Intf.S) ~procs ~per ~seed ~fault =
   let outcome = Sim.Engine.run ~watchdog:2_000_000 eng in
   (outcome, eng, victim, !attempted, !completed, !consumed)
 
+(* One crash point's verdict: its outcome and, when it completed, the
+   audit of consumed against attempted and completed enqueues. *)
+type point = {
+  at : int;
+  outcome : Sim.Engine.outcome;
+  conserved : bool;
+  p_lost : int;
+  p_phantom : int;
+}
+
+let crash_point q ~procs ~per ~seed at =
+  let outcome, _, _, attempted, completed, consumed =
+    sim_trial q ~procs ~per ~seed ~fault:(Some at)
+  in
+  let table lst =
+    let h = Hashtbl.create (List.length lst + 8) in
+    List.iter (fun s -> Hashtbl.replace h s ()) lst;
+    h
+  in
+  let dup =
+    let h = Hashtbl.create (List.length consumed + 8) in
+    List.exists
+      (fun s ->
+        if Hashtbl.mem h s then true
+        else begin
+          Hashtbl.add h s ();
+          false
+        end)
+      consumed
+  in
+  let attempted_t = table attempted in
+  let completed_t = table completed in
+  let consumed_t = table consumed in
+  let unknown = List.exists (fun s -> not (Hashtbl.mem attempted_t s)) consumed in
+  let p_lost =
+    List.length (List.filter (fun s -> not (Hashtbl.mem consumed_t s)) completed)
+  in
+  let p_phantom =
+    List.length (List.filter (fun s -> not (Hashtbl.mem completed_t s)) consumed)
+  in
+  {
+    at;
+    outcome;
+    conserved =
+      outcome <> Sim.Engine.Completed
+      || ((not dup) && (not unknown) && p_lost = 0 && p_phantom <= 1);
+    p_lost;
+    p_phantom;
+  }
+
+(* Crash points swept per algorithm: enough that a crash lands inside a
+   critical section of every lock-based queue (single-lock blocks at 2
+   of 16, mc at 1, two-lock at 3). *)
+let sim_crash_points = 16
+
 let sim_one (module Q : Squeues.Intf.S) ~procs ~per ~seed =
   match sim_trial (module Q) ~procs ~per ~seed ~fault:None with
-  | Sim.Engine.Completed, eng, victim, _, _, _ -> (
-      let total = Sim.Engine.ops_executed eng victim in
-      let crash_after = max 1 (total / 2) in
-      match sim_trial (module Q) ~procs ~per ~seed ~fault:(Some crash_after) with
-      | outcome, _, _, attempted, completed, consumed ->
-          let table lst =
-            let h = Hashtbl.create (List.length lst + 8) in
-            List.iter (fun s -> Hashtbl.replace h s ()) lst;
-            h
-          in
-          let dup =
-            let h = Hashtbl.create (List.length consumed + 8) in
-            List.exists
-              (fun s ->
-                if Hashtbl.mem h s then true
-                else begin
-                  Hashtbl.add h s ();
-                  false
-                end)
-              consumed
-          in
-          let attempted_t = table attempted in
-          let completed_t = table completed in
-          let consumed_t = table consumed in
-          let unknown =
-            List.exists (fun s -> not (Hashtbl.mem attempted_t s)) consumed
-          in
-          let lost =
-            List.length
-              (List.filter (fun s -> not (Hashtbl.mem consumed_t s)) completed)
-          in
-          let phantom =
-            List.length
-              (List.filter (fun s -> not (Hashtbl.mem completed_t s)) consumed)
-          in
-          {
-            algorithm = Q.name;
-            crash_after;
-            sim_outcome = outcome_string outcome;
-            conservation_ok =
-              outcome <> Sim.Engine.Completed
-              || ((not dup) && (not unknown) && lost = 0 && phantom <= 1);
-            lost;
-            phantom;
-          })
+  | Sim.Engine.Completed, eng, victim, _, _, _ ->
+      let total_ops = Sim.Engine.ops_executed eng victim in
+      let pts =
+        List.map
+          (crash_point (module Q) ~procs ~per ~seed)
+          (Sim.Faults.crash_points ~trials:sim_crash_points ~total_ops)
+      in
+      let ended o = List.filter (fun p -> p.outcome = o) pts in
+      let completed = ended Sim.Engine.Completed
+      and blocked = List.length (ended Sim.Engine.Blocked) in
+      let faulty p = p.outcome <> Sim.Engine.Completed || not p.conserved in
+      let shown = Option.value (List.find_opt faulty pts) ~default:(List.hd pts) in
+      {
+        algorithm = Q.name;
+        crash_after = shown.at;
+        sim_outcome =
+          outcome_string
+            (if ended Sim.Engine.Step_limit <> [] then Sim.Engine.Step_limit
+             else if blocked > 0 then Sim.Engine.Blocked
+             else Sim.Engine.Completed);
+        conservation_ok = List.for_all (fun p -> p.conserved) pts;
+        lost = List.fold_left (fun n p -> n + p.p_lost) 0 completed;
+        phantom = List.fold_left (fun n p -> max n p.p_phantom) 0 completed;
+        points = List.length pts;
+        blocked_points = blocked;
+      }
   | o, _, _, _, _, _ ->
       {
         algorithm = Q.name;
@@ -683,6 +721,8 @@ let sim_one (module Q : Squeues.Intf.S) ~procs ~per ~seed =
         conservation_ok = false;
         lost = 0;
         phantom = 0;
+        points = 0;
+        blocked_points = 0;
       }
 
 let sim_battery ?(queues = Registry.all) ?(procs = 4) ?(per = 400)
@@ -690,14 +730,20 @@ let sim_battery ?(queues = Registry.all) ?(procs = 4) ?(per = 400)
   List.map (fun { Registry.algo; _ } -> sim_one algo ~procs ~per ~seed) queues
 
 let pp_sim_result fmt r =
-  Format.fprintf fmt "%-18s crash at op %d + restart: %s%s" r.algorithm
-    r.crash_after r.sim_outcome
-    (if r.sim_outcome = "completed" then
-       if r.conservation_ok then ", conserved"
+  Format.fprintf fmt "%-18s crash+restart at %d points: " r.algorithm r.points;
+  if r.sim_outcome = "completed" && r.conservation_ok then
+    Format.fprintf fmt "completed and conserved at all"
+  else begin
+    if r.sim_outcome <> "completed" && r.sim_outcome <> "blocked" then
+      Format.fprintf fmt "%s, " r.sim_outcome;
+    Format.fprintf fmt "blocked at %d, %s; first fault after op %d"
+      r.blocked_points
+      (if r.conservation_ok then "conserved where completed"
        else
-         Printf.sprintf ", CONSERVATION VIOLATED (lost %d, phantom %d)" r.lost
-           r.phantom
-     else "")
+         Printf.sprintf "CONSERVATION VIOLATED (lost %d, phantom %d)" r.lost
+           r.phantom)
+      r.crash_after
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The soak gate: self-test, simulated battery, native soak. *)
@@ -744,15 +790,19 @@ let verdicts g =
       ])
   @ List.map
       (fun (key, r) ->
-        let stuck =
-          List.mem key Registry.nonblocking && r.sim_outcome <> "completed"
+        let why =
+          if List.mem key Registry.nonblocking then
+            if r.sim_outcome <> "completed" then
+              Some "a non-blocking algorithm must complete after crash+restart"
+            else None
+          else if r.blocked_points = 0 then
+            Some "a blocking algorithm must block at some crash point"
+          else None
         in
         Verdict.v ("sim " ^ key)
-          (sim_ok r && not stuck)
+          (sim_ok r && why = None)
           (Format.asprintf "%a%s" pp_sim_result r
-             (if stuck then
-                " — a non-blocking algorithm must complete after crash+restart"
-              else "")))
+             (match why with Some w -> " — " ^ w | None -> "")))
       g.sim
   @ List.map
       (fun r ->

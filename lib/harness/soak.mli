@@ -138,23 +138,36 @@ val self_test : seed:int64 -> bool
     {!Sim.Faults.Crash_restart} fells a producer mid-operation
     (simulator-op granularity, so the crash can land mid-CAS or inside
     a critical section) and a replacement process re-joins on the same
-    processor.  Non-blocking algorithms must complete and conserve;
-    blocking ones end in the watchdog's structured [Blocked] verdict
-    (the crashed holder strands the survivors — the paper's point). *)
+    processor.  Crash points are swept across the victim's run, as
+    {!Crash_experiment} does, because a single point can miss every
+    critical section.  Non-blocking algorithms must complete and
+    conserve at every point; blocking ones must end in the watchdog's
+    structured [Blocked] verdict at some point (the crashed holder
+    strands the survivors — the paper's point). *)
 
 type sim_result = {
   algorithm : string;
-  crash_after : int;  (** simulator ops the victim executed before dying *)
-  sim_outcome : string;  (** ["completed"] / ["blocked"] / ["step-limit"] *)
-  conservation_ok : bool;
-  lost : int;  (** values definitely enqueued but never consumed *)
+  crash_after : int;
+      (** simulator ops the victim executed before dying, at the first
+          point that did not complete and conserve; the first point
+          when every point did *)
+  sim_outcome : string;
+      (** the worst outcome over the points: ["step-limit"], then
+          ["blocked"], then ["completed"] *)
+  conservation_ok : bool;  (** every completed point conserved *)
+  lost : int;
+      (** values definitely enqueued but never consumed, summed over
+          completed points *)
   phantom : int;
-      (** values consumed whose enqueue never returned (crash landed
-          after the linearizing link — at most 1) *)
+      (** most values consumed at one completed point whose enqueue
+          never returned (the crash landed after the linearizing link —
+          at most 1 per point) *)
+  points : int;  (** crash points swept *)
+  blocked_points : int;  (** points that ended [Blocked] *)
 }
 
 val sim_ok : sim_result -> bool
-(** [Completed] with conservation, or a structured [Blocked] verdict. *)
+(** Every point [Completed] with conservation or [Blocked]. *)
 
 val sim_battery :
   ?queues:Registry.entry list ->
@@ -163,9 +176,10 @@ val sim_battery :
   ?seed:int64 ->
   unit ->
   sim_result list
-(** One crash+restart trial per simulated algorithm (default
+(** A crash+restart sweep per simulated algorithm (default
     {!Registry.all}): [procs - 1] producers and one consumer; the first
-    producer crashes halfway through its reference-run op count and a
+    producer crashes at each of 16 points spread over its
+    reference-run op count ({!Sim.Faults.crash_points}) and a
     replacement enqueues a fresh range [restart_after] cycles later.
     Defaults: 4 processors, 400 enqueues per producer. *)
 
@@ -210,9 +224,10 @@ val gate :
     and disarms it at the end. *)
 
 val verdicts : gate -> Verdict.t list
-(** The self-test caught its bug; each battery result is {!sim_ok}, and
-    the non-blocking ["ms"], ["plj"] and ["valois"] completed; each
-    native report {!passed}. *)
+(** The self-test caught its bug; each battery result is {!sim_ok}, the
+    non-blocking ["ms"], ["plj"] and ["valois"] completed at every
+    point, and every other (blocking) algorithm blocked at one point or
+    more; each native report {!passed}. *)
 
 val gate_json : gate -> Obs.Json.t
 (** [{seed, self_test, native, sim}], [self_test] only when it ran. *)

@@ -281,7 +281,7 @@ let replay ?(max_steps = 10_000) q scenario schedule =
 
 module type BQUEUE = Core.Queue_intf.BOUNDED
 
-type bop = Try_enq of int | Try_deq
+type bop = Try_enq of int | Try_deq | Length
 
 type bounded_scenario = {
   bname : string;
@@ -318,6 +318,14 @@ let bounded_scenarios =
           [ Try_enq 101; Try_deq; Try_enq 102; Try_deq ];
           [ Try_enq 201; Try_deq ];
         |];
+    };
+    (* a length sample racing a dequeue and re-enqueue on a capacity-1
+       ring: the one index moves to the next slot between the sampler's
+       slot loads, and the sample must still lie in [0, capacity] *)
+    {
+      bname = "b-length";
+      capacity = 1;
+      bprocs = [| [ Try_deq; Try_enq 101 ]; [ Try_enq 201; Length ] |];
     };
   ]
 
@@ -487,6 +495,8 @@ let with_bounded_spec (module Q : BQUEUE) scenario { go } =
     Traced_atomic.reset_ids ();
     let q : int Q.t = Q.create ~capacity:scenario.capacity () in
     let recorder = Lincheck.History.create_recorder () in
+    (* [length] samples outside [0, capacity]; not part of the history *)
+    let out_of_bound = ref [] in
     let bodies =
       Array.mapi
         (fun i steps () ->
@@ -498,13 +508,17 @@ let with_bounded_spec (module Q : BQUEUE) scenario { go } =
                       Lincheck.History.Try_enq (v, Q.try_enqueue q v))
               | Try_deq ->
                   Lincheck.History.record recorder ~proc:i (fun () ->
-                      Lincheck.History.Deq (Q.try_dequeue q)))
+                      Lincheck.History.Deq (Q.try_dequeue q))
+              | Length ->
+                  let n = Q.length q in
+                  if n < 0 || n > Q.capacity q then
+                    out_of_bound := n :: !out_of_bound)
             steps)
         scenario.bprocs
     in
-    ((), (q, recorder), bodies)
+    ((), (q, recorder, out_of_bound), bodies)
   in
-  let check_final () (q, recorder) =
+  let check_final () (q, recorder, out_of_bound) =
     let driver = Array.length scenario.bprocs in
     let rec drain () =
       let got = ref None in
@@ -516,9 +530,12 @@ let with_bounded_spec (module Q : BQUEUE) scenario { go } =
     in
     drain ();
     let h = Lincheck.History.history recorder in
-    match conservation h with
-    | Error _ as e -> e
-    | Ok () -> (
+    match (!out_of_bound, conservation h) with
+    | n :: _, _ ->
+        Error
+          (Printf.sprintf "length sample %d outside [0, %d]" n (Q.capacity q))
+    | [], (Error _ as e) -> e
+    | [], Ok () -> (
         (* Q.capacity, not scenario.capacity: the spec must match the
            rounding the implementation actually enforces *)
         match Lincheck.Checker.check ~capacity:(Q.capacity q) h with

@@ -106,11 +106,12 @@ val replay :
     capacities, judged by conservation (refused enqueues count for
     neither side) plus {!Lincheck.Checker.check} with [~capacity] — so
     a spurious full verdict, or one that loses the element, fails
-    exactly like a spurious empty. *)
+    exactly like a spurious empty.  A [Length] step samples
+    [length], which must lie in [[0, capacity]]. *)
 
 module type BQUEUE = Core.Queue_intf.BOUNDED
 
-type bop = Try_enq of int | Try_deq
+type bop = Try_enq of int | Try_deq | Length
 
 type bounded_scenario = {
   bname : string;
@@ -120,7 +121,8 @@ type bounded_scenario = {
 
 val bounded_scenarios : bounded_scenario list
 (** Full-verdict race at capacity 1, dequeuer-overrun vs. in-flight
-    enqueue (the planted-bug scenario), and a capacity-1 double wrap. *)
+    enqueue (the planted-bug scenario), a capacity-1 double wrap, and a
+    [length] sample racing a dequeue and re-enqueue at capacity 1. *)
 
 val find_bounded_scenario : string -> bounded_scenario option
 

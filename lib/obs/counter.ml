@@ -1,29 +1,25 @@
-(* A flat int array, one stride-padded row per domain slot.  The row is
-   written only by domains mapping to it (plain stores: no coherence
-   traffic beyond the line's natural owner), and [value] sums the rows.
-   Word-sized loads and stores do not tear in OCaml, so a racy [value]
-   reads a valid — at worst slightly stale — total. *)
+(* One padded row per domain slot, allocated by the slot's first write
+   ([Rows]).  The row is written only by domains mapping to it (plain
+   stores: no coherence traffic beyond the line's natural owner), and
+   [value] sums the rows.  Word-sized loads and stores do not tear in
+   OCaml, so a racy [value] reads a valid — at worst slightly stale —
+   total. *)
 
 let n_rows = 128
 let row_words = 16 (* 128 bytes: two cache lines on common hardware *)
 
-type t = int array
+(* Mid-row, so the counted word's cache line lies wholly inside the
+   row whatever the row's alignment: no other block shares it. *)
+let cell = row_words / 2
 
-let create () = Array.make (n_rows * row_words) 0
+type t = Rows.t
 
-let row () = ((Domain.self () :> int) land (n_rows - 1)) * row_words
+let create () = Rows.create ~slots:n_rows
 
 let add t n =
-  let i = row () in
-  t.(i) <- t.(i) + n
+  let r = Rows.mine t ~width:row_words in
+  r.(cell) <- r.(cell) + n
 
 let incr t = add t 1
-
-let value t =
-  let total = ref 0 in
-  for r = 0 to n_rows - 1 do
-    total := !total + t.(r * row_words)
-  done;
-  !total
-
-let reset t = Array.fill t 0 (Array.length t) 0
+let value t = Rows.fold (fun total r -> total + r.(cell)) 0 t
+let reset t = Rows.iter (fun r -> r.(cell) <- 0) t

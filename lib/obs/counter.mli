@@ -6,6 +6,11 @@
     slots and may lag in-flight increments by a store buffer's worth;
     totals are exact once the writing domains are quiescent.
 
+    Memory: a slot's 128-byte row is allocated by the first increment
+    from a domain mapping to it ({!Rows}), so a fresh counter is its
+    slot table alone (about 1 KB) and each writing domain adds one row.
+    After a domain's first increment, incrementing allocates nothing.
+
     Domains whose ids collide modulo the slot count share a row, and two
     simultaneous writers to one row can lose updates — acceptable for
     metrics (the default slot count, 128, exceeds any realistic domain

@@ -15,8 +15,13 @@
    better has. *)
 
 let n_rings = 64
-let head_stride = 16 (* pad per-ring cursors to their own cache line *)
+let head_stride = 16 (* pad per-ring label-cache cursors to their own line *)
 let rec_words = 4
+
+(* Ring row layout: cell 0 is the row's cursor (events ever written),
+   records follow from cell 1. *)
+let head_cell = 0
+let first_rec = 1
 
 (* record cells *)
 let id_cell = 0
@@ -31,9 +36,10 @@ let tag_end = 2
 
 let default_capacity = 1024
 
+(* A ring row is allocated by its domain's first record ([Rows]), never
+   by [enable]; [configure] and [reset] swap in an empty table. *)
 let cap = ref default_capacity
-let store = ref [||]
-let heads = Array.make (n_rings * head_stride) 0
+let rings = ref (Rows.create ~slots:n_rings)
 let on = ref false
 
 let round_pow2 n =
@@ -43,30 +49,16 @@ let round_pow2 n =
   done;
   !c
 
-let ensure_store () =
-  let want = n_rings * !cap * rec_words in
-  if Array.length !store <> want then store := Array.make want 0
-
 let capacity () = !cap
-
-let reset () =
-  for r = 0 to n_rings - 1 do
-    heads.(r * head_stride) <- 0
-  done
+let reset () = rings := Rows.create ~slots:n_rings
 
 let configure ~capacity =
   if !on then invalid_arg "Flight.configure: recorder is enabled";
   if capacity <= 0 then invalid_arg "Flight.configure";
   cap := round_pow2 capacity;
-  store := [||];
   reset ()
 
-let recorded () =
-  let n = ref 0 in
-  for r = 0 to n_rings - 1 do
-    n := !n + heads.(r * head_stride)
-  done;
-  !n
+let recorded () = Rows.fold (fun n ring -> n + ring.(head_cell)) 0 !rings
 
 (* ------------------------------------------------------------------ *)
 (* Site-label interning.  The global table is mutex-protected and only
@@ -124,24 +116,23 @@ let intern r label = probe r (r * cache_slots) label 0
 
 let record tag label =
   let d = (Domain.self () :> int) in
-  let r = d land (n_rings - 1) in
-  let id = intern r label in
-  let t = Int64.to_int (Monotonic_clock.now ()) in
-  let h = heads.(r * head_stride) in
+  (* the ring first: its loads overlap the label probe and clock read *)
   let c = !cap in
-  let base = ((r * c) + (h land (c - 1))) * rec_words in
-  let s = !store in
-  s.(base + id_cell) <- id;
-  s.(base + t_cell) <- t;
-  s.(base + tag_cell) <- tag;
-  s.(base + dom_cell) <- d;
-  heads.(r * head_stride) <- h + 1
+  let ring = Rows.row !rings ~width:(first_rec + (c * rec_words)) d in
+  let id = intern (d land (n_rings - 1)) label in
+  let t = Int64.to_int (Monotonic_clock.now ()) in
+  let h = ring.(head_cell) in
+  let base = first_rec + ((h land (c - 1)) * rec_words) in
+  ring.(base + id_cell) <- id;
+  ring.(base + t_cell) <- t;
+  ring.(base + tag_cell) <- tag;
+  ring.(base + dom_cell) <- d;
+  ring.(head_cell) <- h + 1
 
 let enabled () = !on
 
 let enable () =
   if not !on then begin
-    ensure_store ();
     on := true;
     Locks.Probe.set_flight_site_hook (fun label -> record tag_site label);
     Locks.Probe.set_flight_phase_hook (fun ~enter label ->
@@ -168,28 +159,25 @@ type rec_ = { r_t : int; r_tid : int; r_tag : int; r_id : int; r_dom : int }
 let collect () =
   let recs = ref [] in
   let c = !cap in
-  let s = !store in
-  if Array.length s = 0 then []
-  else begin
-    for r = 0 to n_rings - 1 do
-      let h = heads.(r * head_stride) in
+  Rows.iteri
+    (fun r ring ->
+      let h = ring.(head_cell) in
       let n = min h c in
       let first = h - n in
       for k = 0 to n - 1 do
-        let base = ((r * c) + ((first + k) land (c - 1))) * rec_words in
+        let base = first_rec + (((first + k) land (c - 1)) * rec_words) in
         recs :=
           {
-            r_t = s.(base + t_cell);
+            r_t = ring.(base + t_cell);
             r_tid = r;
-            r_tag = s.(base + tag_cell);
-            r_id = s.(base + id_cell);
-            r_dom = s.(base + dom_cell);
+            r_tag = ring.(base + tag_cell);
+            r_id = ring.(base + id_cell);
+            r_dom = ring.(base + dom_cell);
           }
           :: !recs
-      done
-    done;
-    List.sort (fun a b -> compare (a.r_t, a.r_tid) (b.r_t, b.r_tid)) !recs
-  end
+      done)
+    !rings;
+  List.sort (fun a b -> compare (a.r_t, a.r_tid) (b.r_t, b.r_tid)) !recs
 
 let name_of id =
   if id >= 0 && id < !n_names then !names.(id) else Printf.sprintf "site#%d" id
@@ -264,7 +252,7 @@ let dump_json ~reason () =
             ("reason", Json.String reason);
             ("recorded", Json.Int (recorded ()));
             ("retained", Json.Int (List.length recs));
-            ("capacity_per_ring", Json.Int !cap);
+            ("capacity_per_ring", Json.Int (capacity ()));
           ] );
     ]
 

@@ -13,14 +13,21 @@
     [test_locks.ml]); enabled, each event costs one clock read, a
     physical-equality label-cache probe, and four plain array stores
     into a ring row written by one domain.  Domains colliding modulo
-    {!n_rings} share a row; records may shear, the dump still loads. *)
+    {!n_rings} share a row; records may shear, the dump still loads.
+
+    Memory: a ring row is allocated by the first event a domain
+    records ({!Rows}) — [capacity () * 4] words, 32 KB at the default
+    capacity — so the recorder costs its 64-slot table plus one ring
+    per recording domain, and {!enable} allocates nothing.  After a
+    domain's first event, recording allocates nothing. *)
 
 val n_rings : int
 (** Ring rows (64); Chrome-trace [tid] = domain id modulo this. *)
 
 val enable : unit -> unit
-(** Allocate the rings (first time) and install the flight hooks into
-    [Locks.Probe]'s flight slots; idempotent. *)
+(** Install the flight hooks into [Locks.Probe]'s flight slots;
+    idempotent.  Rings are allocated by each domain's first event, not
+    here. *)
 
 val disable : unit -> unit
 (** Uninstall the hooks; retained records survive for a later dump. *)
@@ -29,8 +36,9 @@ val enabled : unit -> bool
 
 val configure : capacity:int -> unit
 (** Set records retained per ring (default 1024, rounded up to a power
-    of two) and drop existing records.  Raises [Invalid_argument] while
-    the recorder is enabled or on a non-positive capacity. *)
+    of two) and drop existing records and rings.  Raises
+    [Invalid_argument] while the recorder is enabled or on a
+    non-positive capacity. *)
 
 val capacity : unit -> int
 
@@ -38,7 +46,8 @@ val recorded : unit -> int
 (** Total events ever recorded (including overwritten ones). *)
 
 val reset : unit -> unit
-(** Drop all records.  Callers must ensure no concurrent emission. *)
+(** Drop all records and free the rings; the capacity stays.  Callers
+    must ensure no concurrent emission. *)
 
 (** {1 Dumping} *)
 

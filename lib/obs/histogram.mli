@@ -8,7 +8,14 @@
 
     Recording goes to a per-domain row (disjoint memory per domain, no
     atomics on the hot path); reads aggregate the rows and are accurate
-    once writers are quiescent. *)
+    once writers are quiescent.
+
+    Memory: a domain slot's 64-word row is allocated by the first
+    {!record} from a domain mapping to it ({!Rows}), so a fresh
+    histogram is its 64-slot table alone (about 0.5 KB) and each
+    recording domain adds one row.  After a domain's first record,
+    recording allocates nothing.  Domains colliding modulo the slot
+    count share a row and may lose updates, as in {!Counter}. *)
 
 type t
 
@@ -45,6 +52,7 @@ val merge : t -> t -> t
 (** A fresh histogram holding both inputs' samples. *)
 
 val merge_into : into:t -> t -> unit
+(** Add [t]'s samples to [into], in the calling domain's row of [into]. *)
 
 val quantile : t -> float -> int option
 (** [quantile t q] with [q] in [0, 1]: upper bound of the bucket

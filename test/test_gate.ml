@@ -227,7 +227,15 @@ let test_soak_gate () =
         (k, { r with sim_outcome = "blocked" }))
       g.sim
   in
-  failing "sim ms" (Harness.Soak.verdicts { g with sim = stuck })
+  failing "sim ms" (Harness.Soak.verdicts { g with sim = stuck });
+  (* planted: a blocking queue that survived every crash point *)
+  let survived =
+    List.map
+      (fun (_, (r : Harness.Soak.sim_result)) ->
+        ("two-lock", { r with algorithm = "two-lock"; blocked_points = 0 }))
+      g.sim
+  in
+  failing "sim two-lock" (Harness.Soak.verdicts { g with sim = survived })
 
 let suites =
   [

@@ -147,6 +147,19 @@ let test_broken_scq_caught_and_replayable () =
   | `Completed | `Diverged ->
       Alcotest.fail "counterexample schedule did not reproduce the failure"
 
+(* The length oracle reads the bound: an SCQ whose [length] over-counts
+   by one is caught in b-length, where one item is live. *)
+let test_length_oracle_catches_overcount () =
+  let module Q = (val Option.get (Core_explore.find_bqueue "scq")) in
+  let module Over = struct
+    include Q
+
+    let length q = Q.length q + 1
+  end in
+  let b = Option.get (Core_explore.find_bounded_scenario "b-length") in
+  let o = Core_explore.check_bounded (module Over) b in
+  Alcotest.(check bool) "over-count caught" true (o.Explore.failures <> [])
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: the same configuration explores the same schedule
    space, run to run — the property that makes counterexamples
@@ -231,5 +244,7 @@ let suites =
           test_exploration_deterministic;
         Alcotest.test_case "random mode deterministic" `Quick
           test_random_deterministic;
+        Alcotest.test_case "length oracle catches an over-count" `Quick
+          test_length_oracle_catches_overcount;
       ] );
   ]

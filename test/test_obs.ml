@@ -611,8 +611,125 @@ let test_control_restores () =
   (try Obs.Control.with_enabled (fun () -> failwith "boom") with _ -> ());
   Alcotest.(check bool) "restored after raise" false (Obs.Control.enabled ())
 
+(* ------------------------------------------------------------------ *)
+(* Footprint: per-domain rows are allocated by a slot's first write, so
+   a structure nobody writes costs its slot tables. *)
+
+let words x = Obj.reachable_words (Obj.repr x)
+
+let at_most what ~bytes x =
+  let got = words x * (Sys.word_size / 8) in
+  if got > bytes then
+    Alcotest.failf "%s reaches %d bytes, bound %d" what got bytes
+
+(* [f ()] in a fresh domain whose id maps to another slot (modulo
+   [slots]) than the calling domain's. *)
+let rec in_other_slot ~slots f =
+  let slot () = (Domain.self () :> int) land (slots - 1) in
+  let mine = slot () in
+  match Domain.join (Domain.spawn (fun () -> if slot () = mine then None else Some (f ()))) with
+  | Some v -> v
+  | None -> in_other_slot ~slots f
+
+let test_rows_install_on_first_write () =
+  let t = Obs.Rows.create ~slots:4 in
+  let row = Obs.Rows.row t ~width:3 in
+  Alcotest.(check int) "fresh: no rows" 0 (Obs.Rows.installed t);
+  let r = row 1 in
+  r.(0) <- 7;
+  Alcotest.(check int) "one row after one write" 1 (Obs.Rows.installed t);
+  Alcotest.(check int) "width cells" 3 (Array.length r);
+  Alcotest.(check bool) "the same slot's row again" true (row 1 == r);
+  Alcotest.(check bool) "a colliding id shares it" true (row 5 == r);
+  (row 2).(0) <- 5;
+  let slots = ref [] in
+  Obs.Rows.iteri (fun s _ -> slots := s :: !slots) t;
+  Alcotest.(check (list int)) "readers visit installed rows only" [ 1; 2 ]
+    (List.rev !slots);
+  Alcotest.(check int) "fold" 12 (Obs.Rows.fold (fun n r -> n + r.(0)) 0 t);
+  List.iter
+    (fun slots ->
+      match Obs.Rows.create ~slots with
+      | _ -> Alcotest.failf "create ~slots:%d accepted" slots
+      | exception Invalid_argument _ -> ())
+    [ 0; 3; -4 ]
+
+(* One row per writing domain: the first write adds a row, later writes
+   add nothing, and a second domain on another slot adds one more row
+   of the same size. *)
+let one_row_per_domain what ~slots ~fresh_bytes ~row_bytes create write =
+  let x = create () in
+  at_most ("fresh " ^ what) ~bytes:fresh_bytes x;
+  let fresh = words x in
+  write x;
+  let one = words x in
+  let row = one - fresh in
+  if row <= 0 || row * (Sys.word_size / 8) > row_bytes then
+    Alcotest.failf "%s: the first write added %d words" what row;
+  write x;
+  Alcotest.(check int) (what ^ ": a second write adds no row") one (words x);
+  in_other_slot ~slots (fun () -> write x);
+  Alcotest.(check int)
+    (what ^ ": a second domain adds one row")
+    (one + row) (words x)
+
+let test_counter_footprint () =
+  one_row_per_domain "counter" ~slots:128 ~fresh_bytes:2048 ~row_bytes:256
+    Obs.Counter.create Obs.Counter.incr
+
+let test_histogram_footprint () =
+  one_row_per_domain "histogram" ~slots:64 ~fresh_bytes:1024 ~row_bytes:1024
+    Obs.Histogram.create (fun h -> Obs.Histogram.record h 100)
+
+(* The layers above shrink with no change of their own: before rows were
+   allocated on first write these read 211 KB, 292 KB and 3.47 MB. *)
+let test_layer_footprints () =
+  at_most "fresh Metrics.t" ~bytes:(12 * 1024) (Obs.Metrics.create "m");
+  at_most "fresh Resilient engine" ~bytes:(20 * 1024)
+    (Resilience.Resilient.Engine.create ~name:"e" ());
+  at_most "default fabric" ~bytes:(1100 * 1024)
+    (Fabric.Queue_fabric.create () : int Fabric.Queue_fabric.t)
+
+(* Two domains on distinct slots writing at once: no row is shared, so
+   the totals are exact. *)
+let test_two_domains_exact () =
+  let c = Obs.Counter.create () and h = Obs.Histogram.create () in
+  let per = 20_000 in
+  let go = Atomic.make false in
+  let body () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    for i = 1 to per do
+      Obs.Counter.incr c;
+      Obs.Histogram.record h i
+    done;
+    (Domain.self () :> int)
+  in
+  let d1 = Domain.spawn body and d2 = Domain.spawn body in
+  Atomic.set go true;
+  let id1 = Domain.join d1 and id2 = Domain.join d2 in
+  (* 64 divides 128: distinct histogram slots imply distinct counter ones *)
+  Alcotest.(check bool) "writers on distinct slots" true ((id1 - id2) land 63 <> 0);
+  Alcotest.(check int) "counter total" (2 * per) (Obs.Counter.value c);
+  Alcotest.(check int) "histogram count" (2 * per) (Obs.Histogram.count h);
+  Alcotest.(check int) "histogram sum" (per * (per + 1)) (Obs.Histogram.sum h)
+
 let suites =
   [
+    ( "obs.footprint",
+      [
+        Alcotest.test_case "rows installed on first write" `Quick
+          test_rows_install_on_first_write;
+        Alcotest.test_case "counter: one row per writing domain" `Quick
+          test_counter_footprint;
+        Alcotest.test_case "histogram: one row per writing domain" `Quick
+          test_histogram_footprint;
+        Alcotest.test_case "metrics, engine and fabric bounds" `Quick
+          test_layer_footprints;
+        Alcotest.test_case "two domains on distinct slots exact" `Quick
+          test_two_domains_exact;
+      ] );
     ( "obs.json",
       [
         Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;

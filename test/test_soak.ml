@@ -136,6 +136,36 @@ let test_sim_battery_ms () =
       Alcotest.(check bool) "sim_ok" true (Harness.Soak.sim_ok r)
   | rs -> Alcotest.failf "expected one result, got %d" (List.length rs)
 
+(* The sweep has teeth: a crash point inside a lock's critical section
+   strands the survivors, so each blocking queue blocks at one point or
+   more, and conserves wherever it completes.  [msq_check soak --seed N]
+   passes its seed to the battery, so the verdict must not hang on the
+   default one: a second seed is checked too. *)
+let test_sim_battery_blocking_queues_block () =
+  let queues =
+    List.filter
+      (fun (e : Harness.Registry.entry) ->
+        not (List.mem e.key Harness.Registry.nonblocking))
+      Harness.Registry.all
+  in
+  Alcotest.(check int) "three blocking queues" 3 (List.length queues);
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (r : Harness.Soak.sim_result) ->
+          let name what =
+            Printf.sprintf "%s at 0x%Lx: %s" r.algorithm seed what
+          in
+          Alcotest.(check int) (name "16 points swept") 16 r.points;
+          Alcotest.(check string) (name "outcome") "blocked" r.sim_outcome;
+          Alcotest.(check bool) (name "blocked at some point") true
+            (r.blocked_points > 0);
+          Alcotest.(check bool) (name "conserved where completed") true
+            r.conservation_ok;
+          Alcotest.(check bool) (name "sim_ok") true (Harness.Soak.sim_ok r))
+        (Harness.Soak.sim_battery ~queues ~seed ()))
+    [ 0x534F414BL; 0x54455354L ]
+
 (* ------------------------------------------------------------------ *)
 (* Liveness per-case deadline *)
 
@@ -174,5 +204,7 @@ let suites =
         Alcotest.test_case "sim battery: ms conserves" `Quick
           test_sim_battery_ms;
         Alcotest.test_case "liveness deadline" `Quick test_liveness_deadline;
+        Alcotest.test_case "sim battery: blocking queues block" `Quick
+          test_sim_battery_blocking_queues_block;
       ] );
   ]

@@ -422,6 +422,30 @@ let test_flight_record_allocates_nothing () =
     Alcotest.failf "flight recording allocates %.2f minor words per event"
       per_event
 
+(* Rings are allocated by a domain's first event, not by [enable]: the
+   records outlive a disable/enable cycle, and [configure] drops them. *)
+let test_flight_records_survive_cycle () =
+  let retained () =
+    match member_exn "dump" "traceEvents" (Obs.Flight.dump_json ~reason:"t" ()) with
+    | Obs.Json.List l -> List.length l
+    | _ -> Alcotest.fail "traceEvents not an array"
+  in
+  Obs.Flight.disable ();
+  Obs.Flight.reset ();
+  Alcotest.(check int) "reset leaves no records" 0 (Obs.Flight.recorded ());
+  Obs.Flight.enable ();
+  Alcotest.(check int) "enable records nothing" 0 (retained ());
+  Locks.Probe.site "t.cycle.one";
+  Obs.Flight.disable ();
+  Obs.Flight.enable ();
+  Locks.Probe.site "t.cycle.two";
+  Obs.Flight.disable ();
+  Alcotest.(check int) "both events recorded" 2 (Obs.Flight.recorded ());
+  Alcotest.(check int) "both survive the cycle" 2 (retained ());
+  Obs.Flight.configure ~capacity:(Obs.Flight.capacity ());
+  Alcotest.(check int) "configure drops the count" 0 (Obs.Flight.recorded ());
+  Alcotest.(check int) "configure drops the records" 0 (retained ())
+
 let test_flight_latch_priority () =
   with_temp_file @@ fun path ->
   Obs.Flight.disable ();
@@ -533,6 +557,8 @@ let suites =
           test_flight_latch_priority;
         Alcotest.test_case "recording allocates nothing" `Quick
           test_flight_record_allocates_nothing;
+        Alcotest.test_case "records survive disable/enable" `Quick
+          test_flight_records_survive_cycle;
       ] );
     ( "telemetry.json",
       [
