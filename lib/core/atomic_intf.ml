@@ -1,4 +1,7 @@
-(* The default instantiation used by every re-exported queue module.
+(* The default instance of every re-exported queue module.  The build
+   compiles each functor's body a second time with [A] bound to this
+   module (tools/specialize), so [get] is an inline load and
+   [compare_and_set]/[fetch_and_add] are direct runtime calls.
    [make_contended] pads the cell to its own cache line by copying the
    one-word atomic block into a larger one: the atomic primitives
    (%atomic_load, %atomic_cas, ...) operate on field 0 regardless of

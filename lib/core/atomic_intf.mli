@@ -1,7 +1,9 @@
 (** The atomic primitive as a parameter: every native structure in
     {!Core} is a functor over this signature, so the same algorithm
     text runs on real hardware atomics ({!Stdlib_atomic}, the default
-    instantiation re-exported under the historical module names) and on
+    instance re-exported under the historical module names, which the
+    build compiles from each functor's text with [A] bound to it, so
+    the compiler sees the primitives) and on
     instrumented ones — most importantly [Mcheck.Traced_atomic], which
     turns each primitive into a scheduling point so the model checker
     can exhaustively interleave native queue code.

@@ -22,7 +22,8 @@
     traced instantiation each explored process gets its own hazard
     slots — so protect/retire windows are themselves model-checked
     interleaving points.  The module itself is the [Stdlib_atomic]
-    instantiation, whose cells are plain [Stdlib.Atomic.t]. *)
+    instance, compiled from the functor's own text with the atomic
+    bound statically, whose cells are plain [Stdlib.Atomic.t]. *)
 
 (** What the functor yields.  ['a cell] is the instantiation's atomic
     cell type — the protectable pointers a client structure must build

@@ -16,8 +16,11 @@
 
     The algorithm is a functor over its atomic primitive: {!Make} over
     any {!Atomic_intf.ATOMIC} yields the same code text running on that
-    substrate, and the module itself is [Make (Atomic_intf.Stdlib_atomic)]
-    — hardware atomics with padded Head/Tail cells.  The model checker
+    substrate, and the module itself is that text over
+    [Atomic_intf.Stdlib_atomic] — hardware atomics with padded
+    Head/Tail cells — compiled with the atomic bound statically rather
+    than as a functor application, so a load is inline and a CAS a
+    direct runtime call.  The model checker
     instantiates {!Make} with a traced atomic instead (see
     [Mcheck.Core_explore]) to exhaustively explore interleavings of
     this exact implementation. *)

@@ -19,7 +19,8 @@
     reference-counted scheme lacks (paper §1).
 
     {!Make} abstracts the atomic primitive ({!Atomic_intf.ATOMIC});
-    the module itself is the [Stdlib_atomic] instantiation. *)
+    the module itself is the [Stdlib_atomic] instance, compiled from
+    the functor's own text with the atomic bound statically. *)
 
 (** What the functor yields: the queue signature plus the counted
     pointers' observable history. *)

@@ -20,7 +20,9 @@
     {!Make} threads one {!Atomic_intf.ATOMIC} through both the queue
     and its embedded {!Hazard_pointers.Make} manager, so a traced
     instantiation explores the protect/retire windows too; the module
-    itself is the [Stdlib_atomic] instantiation. *)
+    itself is the [Stdlib_atomic] instance, compiled from the functor's
+    own text with the atomic bound statically, over the specialized
+    {!Hazard_pointers}. *)
 
 (** What the functor yields: the queue signature plus the reclamation
     observables. *)

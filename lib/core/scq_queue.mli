@@ -19,7 +19,8 @@
 
     {!Make} threads an {!Atomic_intf.ATOMIC} through both rings so the
     traced instantiation model-checks the exact shipping text; the
-    module itself is the [Stdlib_atomic] instantiation. *)
+    module itself is the [Stdlib_atomic] instance, compiled from the
+    functor's own text with the atomic bound statically. *)
 
 module Make (_ : Atomic_intf.ATOMIC) : Queue_intf.BOUNDED
 

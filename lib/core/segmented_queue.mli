@@ -24,7 +24,8 @@
 
     {!Make} abstracts the atomic primitive ({!Atomic_intf.ATOMIC}) —
     the FAA claim/publish windows become explorable scheduling points —
-    and the module itself is the [Stdlib_atomic] instantiation. *)
+    and the module itself is the [Stdlib_atomic] instance, compiled
+    from the functor's own text with the atomic bound statically. *)
 
 (** What the functor yields: the batch queue signature plus the
     segment-size constant. *)

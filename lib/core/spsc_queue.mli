@@ -16,7 +16,8 @@
 
     {!Make} abstracts the atomic primitive ({!Atomic_intf.ATOMIC}) so
     the index publications become explorable scheduling points; the
-    module itself is the [Stdlib_atomic] instantiation. *)
+    module itself is the [Stdlib_atomic] instance, compiled from the
+    functor's own text with the atomic bound statically. *)
 
 (** What the functor yields. *)
 module type S = sig

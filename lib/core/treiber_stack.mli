@@ -7,7 +7,8 @@
     another operation succeeded.
 
     {!Make} abstracts the atomic primitive ({!Atomic_intf.ATOMIC});
-    the module itself is the [Stdlib_atomic] instantiation. *)
+    the module itself is the [Stdlib_atomic] instance, compiled from
+    the functor's own text with the atomic bound statically. *)
 
 (** What the functor yields. *)
 module type S = sig

@@ -19,7 +19,11 @@
     sections: the tail-side write must be visible to head-side readers
     without a common lock.  The default instantiation (this module) is
     {!Make} over [Stdlib_atomic] — the paper's test-and-test&set lock
-    with bounded exponential backoff. *)
+    with bounded exponential backoff.  Its text is compiled with the
+    atomic bound statically like the other queues', but it is one
+    application of the two-parameter functor behind {!Make_lock} and
+    {!Make}, so its operations still reach the atomic and the lock
+    through functor arguments. *)
 
 module Make_lock (_ : Locks.Lock_intf.LOCK) : Queue_intf.S
 

@@ -34,7 +34,9 @@
 
     Everything is a functor over {!Core.Atomic_intf.ATOMIC} like the
     primitives it composes; the top level is the [Stdlib_atomic]
-    instantiation.  [Harness.Open_loop] drives the fabric with
+    instance, compiled from the functor's own text with the atomic
+    bound statically, and its shards are the specialized
+    {!Core.Scq_queue} and {!Core.Segmented_queue}.  [Harness.Open_loop] drives the fabric with
     open-loop offered load and reports sojourn-latency percentiles;
     [msq_check fabric] gates the scaling and cache-disjointness
     claims. *)

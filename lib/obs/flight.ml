@@ -15,7 +15,6 @@
    better has. *)
 
 let n_rings = 64
-let head_stride = 16 (* pad per-ring label-cache cursors to their own line *)
 let rec_words = 4
 
 (* Ring row layout: cell 0 is the row's cursor (events ever written),
@@ -91,28 +90,42 @@ let intern_slow label =
   Mutex.unlock intern_mutex;
   id
 
-let cache_slots = 16
-let cache_labels = Array.make (n_rings * cache_slots) ""
-let cache_ids = Array.make (n_rings * cache_slots) 0
-let cache_cursor = Array.make (n_rings * head_stride) 0
+(* Ring row [r]'s cache: [cache_slots] (label, id) pairs, replaced
+   round-robin on a miss.  Allocated by the row's first event, like the
+   ring itself, so a program that never records allocates none; it
+   outlives [reset], since interned ids never change.  Domains that
+   collide modulo [n_rings] share it, and if two install it at once the
+   loser's entries are only re-interned on its next miss. *)
+type cache = { labels : string array; ids : int array; mutable cursor : int }
 
-(* Slot [i] onward of ring row [r]'s cache, which starts at [base].  A
-   top-level function, so the per-event path builds no closure. *)
-let rec probe r base label i =
+let cache_slots = 16
+let no_cache = { labels = [||]; ids = [||]; cursor = 0 }
+let caches = Array.make n_rings no_cache
+
+(* Slot [i] onward of cache [c].  A top-level function, so the
+   per-event path builds no closure. *)
+let rec probe c label i =
   if i >= cache_slots then begin
     let id = intern_slow label in
-    let k = cache_cursor.(r * head_stride) land (cache_slots - 1) in
-    cache_cursor.(r * head_stride) <- k + 1;
+    let k = c.cursor land (cache_slots - 1) in
+    c.cursor <- k + 1;
     (* id before label: a colliding domain matching the new label then
        reads an id that is already the matching one *)
-    cache_ids.(base + k) <- id;
-    cache_labels.(base + k) <- label;
+    c.ids.(k) <- id;
+    c.labels.(k) <- label;
     id
   end
-  else if cache_labels.(base + i) == label then cache_ids.(base + i)
-  else probe r base label (i + 1)
+  else if c.labels.(i) == label then c.ids.(i)
+  else probe c label (i + 1)
 
-let intern r label = probe r (r * cache_slots) label 0
+let install_cache r =
+  let c = { labels = Array.make cache_slots ""; ids = Array.make cache_slots 0; cursor = 0 } in
+  caches.(r) <- c;
+  c
+
+let intern r label =
+  let c = caches.(r) in
+  probe (if c != no_cache then c else install_cache r) label 0
 
 let record tag label =
   let d = (Domain.self () :> int) in

@@ -15,11 +15,12 @@
     into a ring row written by one domain.  Domains colliding modulo
     {!n_rings} share a row; records may shear, the dump still loads.
 
-    Memory: a ring row is allocated by the first event a domain
-    records ({!Rows}) — [capacity () * 4] words, 32 KB at the default
-    capacity — so the recorder costs its 64-slot table plus one ring
-    per recording domain, and {!enable} allocates nothing.  After a
-    domain's first event, recording allocates nothing. *)
+    Memory: a ring row and its 16-entry label cache are allocated by
+    the first event a domain records ({!Rows}) — [capacity () * 4]
+    words, 32 KB at the default capacity, plus about 0.3 KB of cache —
+    so the recorder costs its two 64-slot tables plus one ring per
+    recording domain, and {!enable} allocates nothing.  After a domain's
+    first event, recording allocates nothing. *)
 
 val n_rings : int
 (** Ring rows (64); Chrome-trace [tid] = domain id modulo this. *)

@@ -21,4 +21,5 @@ let () =
          Test_fabric.suites;
          Test_telemetry.suites;
          Test_gate.suites;
+         Test_specialize.suites;
        ])
