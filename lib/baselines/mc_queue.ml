@@ -1,3 +1,9 @@
+(* Probe labels, interned once. *)
+let l_enq_swap = Locks.Probe.label "mc.enq.swap"
+let l_enq_link = Locks.Probe.label "mc.enq.link"
+let l_deq_gap = Locks.Probe.label "mc.deq.gap"
+let l_deq_head = Locks.Probe.label "mc.deq.head"
+
 type 'a node = { mutable value : 'a option; next : 'a node option Atomic.t }
 
 type 'a t = { head : 'a node Atomic.t; tail : 'a node Atomic.t }
@@ -10,11 +16,11 @@ let create () =
 
 let enqueue t v =
   let node = { value = Some v; next = Atomic.make None } in
-  Locks.Probe.site "mc.enq.swap";
+  Locks.Probe.site l_enq_swap;
   let prev = Atomic.exchange t.tail node in
   (* the blocking gap: between the exchange above and this link write,
      the list is disconnected and dequeuers at [prev] must wait *)
-  Locks.Probe.site "mc.enq.link";
+  Locks.Probe.site l_enq_link;
   Atomic.set prev.next (Some node)
 
 let dequeue t =
@@ -27,13 +33,13 @@ let dequeue t =
           if Atomic.get t.head == head then None (* truly empty *) else loop ()
         else begin
           (* an enqueuer holds the gap: wait for its link write *)
-          Locks.Probe.site "mc.deq.gap";
+          Locks.Probe.site l_deq_gap;
           Locks.Backoff.once b;
           loop ()
         end
     | Some n ->
         let value = n.value in
-        Locks.Probe.site "mc.deq.head";
+        Locks.Probe.site l_deq_head;
         if Atomic.compare_and_set t.head head n then begin
           n.value <- None;
           value

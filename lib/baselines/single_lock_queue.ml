@@ -1,3 +1,9 @@
+(* Probe labels, bound outside [Make] so that every instance shares them. *)
+let l_enq_locked = Locks.Probe.label "slock.enq.locked"
+let l_enq_critical = Locks.Probe.label "slock.enq.critical"
+let l_deq_locked = Locks.Probe.label "slock.deq.locked"
+let l_deq_critical = Locks.Probe.label "slock.deq.critical"
+
 module Make (Lock : Locks.Lock_intf.LOCK) = struct
   type 'a node = { value : 'a; mutable next : 'a node option }
 
@@ -15,8 +21,8 @@ module Make (Lock : Locks.Lock_intf.LOCK) = struct
   let enqueue t v =
     let node = { value = v; next = None } in
     Lock.with_lock t.lock (fun () ->
-        Locks.Probe.site "slock.enq.locked";
-        Locks.Probe.phase_begin "slock.enq.critical";
+        Locks.Probe.site l_enq_locked;
+        Locks.Probe.phase_begin l_enq_critical;
         (match t.tail with
         | None ->
             t.head <- Some node;
@@ -24,12 +30,12 @@ module Make (Lock : Locks.Lock_intf.LOCK) = struct
         | Some last ->
             last.next <- Some node;
             t.tail <- Some node);
-        Locks.Probe.phase_end "slock.enq.critical")
+        Locks.Probe.phase_end l_enq_critical)
 
   let dequeue t =
     Lock.with_lock t.lock (fun () ->
-        Locks.Probe.site "slock.deq.locked";
-        Locks.Probe.phase_begin "slock.deq.critical";
+        Locks.Probe.site l_deq_locked;
+        Locks.Probe.phase_begin l_deq_critical;
         let r =
           match t.head with
           | None -> None
@@ -38,7 +44,7 @@ module Make (Lock : Locks.Lock_intf.LOCK) = struct
               if first.next = None then t.tail <- None;
               Some first.value
         in
-        Locks.Probe.phase_end "slock.deq.critical";
+        Locks.Probe.phase_end l_deq_critical;
         r)
 
   let peek t =

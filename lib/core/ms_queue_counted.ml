@@ -1,3 +1,8 @@
+(* Probe labels, bound outside [Make] so that every instance shares them. *)
+let l_enq_link = Locks.Probe.label "msc.enq.link"
+let l_enq_swing = Locks.Probe.label "msc.enq.swing"
+let l_deq_head = Locks.Probe.label "msc.deq.head"
+
 module type S = sig
   include Queue_intf.S
 
@@ -64,7 +69,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       if A.get t.tail == tail then (* E7 *)
         match next.ptr with
         | None ->
-            Locks.Probe.site "msc.enq.link";
+            Locks.Probe.site l_enq_link;
             if
               A.compare_and_set tail_node.next next (* E9 *)
                 { ptr = Some node; count = next.count + 1 }
@@ -83,7 +88,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       else loop ()
     in
     let tail = loop () in
-    Locks.Probe.site "msc.enq.swing";
+    Locks.Probe.site l_enq_swing;
     ignore (A.compare_and_set t.tail tail { ptr = Some node; count = tail.count + 1 })
   (* E13 *)
 
@@ -112,12 +117,16 @@ module Make (A : Atomic_intf.ATOMIC) = struct
           | None -> loop () (* transiently inconsistent snapshot *)
           | Some n ->
               let value = n.value in (* D11: read before the CAS *)
-              Locks.Probe.site "msc.deq.head";
+              Locks.Probe.site l_deq_head;
               if
                 A.compare_and_set t.head head (* D12 *)
                   { ptr = Some n; count = head.count + 1 }
               then begin
-                n.value <- None;
+                (* Clear the old dummy, not the new one: once head is
+                   [n], another dequeuer can free [n] and an enqueuer
+                   refill it before a store here lands, erasing its
+                   value.  Only the old dummy is this thread's alone. *)
+                head_node.value <- None;
                 free_node t head_node; (* D14 *)
                 value
               end

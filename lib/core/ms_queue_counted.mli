@@ -16,7 +16,9 @@
     The free list keeps dequeued nodes available for reuse, bounding
     allocation: a queue that stays short allocates a bounded number of
     nodes no matter how many operations run — the property Valois's
-    reference-counted scheme lacks (paper §1).
+    reference-counted scheme lacks (paper §1).  A dequeued value stays
+    in the node that becomes the dummy until the next dequeue frees
+    that node: clearing it any earlier races with the node's reuse.
 
     {!Make} abstracts the atomic primitive ({!Atomic_intf.ATOMIC});
     the module itself is the [Stdlib_atomic] instance, compiled from

@@ -1,3 +1,9 @@
+(* Probe labels, bound outside [Make] so that every instance shares them. *)
+let l_enq_link = Locks.Probe.label "msq-hp.enq.link"
+let l_enq_swing = Locks.Probe.label "msq-hp.enq.swing"
+let l_deq_protected = Locks.Probe.label "msq-hp.deq.protected"
+let l_deq_head = Locks.Probe.label "msq-hp.deq.head"
+
 module type S = sig
   include Queue_intf.S
 
@@ -65,7 +71,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       if A.get t.tail == tailo then
         match next with
         | None ->
-            Locks.Probe.site "msq-hp.enq.link";
+            Locks.Probe.site l_enq_link;
             if A.compare_and_set tail.next next (Some node) then tailo
             else begin
               Locks.Probe.cas_retry ();
@@ -79,7 +85,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       else loop ()
     in
     let tailo = loop () in
-    Locks.Probe.site "msq-hp.enq.swing";
+    Locks.Probe.site l_enq_swing;
     ignore (A.compare_and_set t.tail tailo (Some node));
     HP.clear t.hp ~slot:0
 
@@ -94,7 +100,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       let nexto = HP.protect t.hp ~slot:1 head.next in
       (* between publishing the hazard and acting on it: the window a
          concurrent retire+scan must respect *)
-      Locks.Probe.site "msq-hp.deq.protected";
+      Locks.Probe.site l_deq_protected;
       if A.get t.head == heado then
         if head == Option.get tailo then
           match nexto with
@@ -108,7 +114,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
           | None -> loop ()
           | Some n ->
               let value = n.value in
-              Locks.Probe.site "msq-hp.deq.head";
+              Locks.Probe.site l_deq_head;
               if A.compare_and_set t.head heado nexto then begin
                 n.value <- None;
                 (* the old dummy is detached: no new reference can form,

@@ -35,6 +35,14 @@
    minimal.  See EXPERIMENTS.md "Living under a memory budget" for the
    measured footprint. *)
 
+(* Probe labels, bound outside [Make] so that every instance shares them. *)
+let l_ring_deposit = Locks.Probe.label "scq.ring.deposit"
+let l_ring_consume = Locks.Probe.label "scq.ring.consume"
+let l_enq = Locks.Probe.label "scq.enq"
+let l_enq_publish = Locks.Probe.label "scq.enq.publish"
+let l_deq = Locks.Probe.label "scq.deq"
+let l_deq_recycle = Locks.Probe.label "scq.deq.recycle"
+
 module Make (A : Atomic_intf.ATOMIC) = struct
   (* One index ring of [2^order] slots.  Entry packing: bits [0,order)
      hold the index with all-ones as ⊥ (valid indices stop at
@@ -120,7 +128,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       && entry_idx r e = imask r
       && (entry_safe r e || A.get r.head <= t)
     then begin
-      Locks.Probe.site "scq.ring.deposit";
+      Locks.Probe.site l_ring_deposit;
       if A.compare_and_set r.entries.(j) e (pack r ~cycle:tcycle ~safe:true ~idx)
       then begin
         (* a value is visible again: re-arm the empty detector *)
@@ -162,7 +170,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       (* our cycle's index is here: take it (index := ⊥, cycle and
          safe bit kept).  The CAS can lose only to a later dequeuer
          marking the entry unsafe, so it converges. *)
-      Locks.Probe.site "scq.ring.consume";
+      Locks.Probe.site l_ring_consume;
       if A.compare_and_set r.entries.(j) e (e lor imask r) then entry_idx r e
       else begin
         Locks.Probe.cas_retry ();
@@ -226,21 +234,21 @@ module Make (A : Atomic_intf.ATOMIC) = struct
   let capacity t = t.cap
 
   let try_enqueue t v =
-    Locks.Probe.phase_begin "scq.enq";
+    Locks.Probe.phase_begin l_enq;
     let i = deq_ring t.fq in
     (* no free index: exact full verdict *)
     let ok = i <> no_index in
     if ok then begin
       t.data.(i) <- Obj.repr v;
-      Locks.Probe.site "scq.enq.publish";
+      Locks.Probe.site l_enq_publish;
       (* the CAS that deposits [i] publishes the slot write above *)
       enq_ring t.aq i
     end;
-    Locks.Probe.phase_end "scq.enq";
+    Locks.Probe.phase_end l_enq;
     ok
 
   let try_dequeue t =
-    Locks.Probe.phase_begin "scq.deq";
+    Locks.Probe.phase_begin l_deq;
     let i = deq_ring t.aq in
     let r =
       if i = no_index then None
@@ -250,12 +258,12 @@ module Make (A : Atomic_intf.ATOMIC) = struct
         (* clear before recycling the index, so dequeued items are
            not retained by the ring *)
         t.data.(i) <- free;
-        Locks.Probe.site "scq.deq.recycle";
+        Locks.Probe.site l_deq_recycle;
         enq_ring t.fq i;
         Some (Obj.obj v)
       end
     in
-    Locks.Probe.phase_end "scq.deq";
+    Locks.Probe.phase_end l_deq;
     r
 
   (* Exact at quiescence.  A racy fold is not a snapshot: one load per

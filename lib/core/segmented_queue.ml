@@ -49,6 +49,11 @@
    segment on a timeshared core — measured at 10-15x total throughput
    loss at capacity 1024.  256 slots still amortize one boundary CAS
    over 256 FAA-claimed operations. *)
+(* Probe labels, bound outside [Make] so that every instance shares them. *)
+let l_enq_claim = Locks.Probe.label "seg.enq.claim"
+let l_enq_publish = Locks.Probe.label "seg.enq.publish"
+let l_deq_claim = Locks.Probe.label "seg.deq.claim"
+
 let segment_capacity = 256
 
 module type S = sig
@@ -109,12 +114,12 @@ module Make (A : Atomic_intf.ATOMIC) = struct
         advance_tail t tail;
         enqueue t v
     | None ->
-        Locks.Probe.site "seg.enq.claim";
+        Locks.Probe.site l_enq_claim;
         let i = A.fetch_and_add tail.enq 1 in
         if i < segment_capacity then begin
           (* between claiming index [i] and publishing into it: the
              window a dequeuer's poisoning CAS races against *)
-          Locks.Probe.site "seg.enq.publish";
+          Locks.Probe.site l_enq_publish;
           if not (A.compare_and_set tail.slots.(i) Empty (Value v)) then begin
             (* a dequeuer poisoned our slot before we published *)
             Locks.Probe.cas_retry ();
@@ -179,7 +184,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
            e < capacity: linearizably empty *)
         None
       else begin
-        Locks.Probe.site "seg.deq.claim";
+        Locks.Probe.site l_deq_claim;
         let i = A.fetch_and_add head.deq 1 in
         if i >= segment_capacity then (
           (* racing dequeuers pushed the counter past the rim *)
@@ -272,7 +277,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
             enqueue_batch t vs
         | None ->
             let n = List.length vs in
-            Locks.Probe.site "seg.enq.claim";
+            Locks.Probe.site l_enq_claim;
             let i = A.fetch_and_add tail.enq n in
             if i < segment_capacity then
               (* claimed [i .. i+n-1]; publish what fits, recurse on the
@@ -307,7 +312,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
         if d >= e then [] (* same linearization argument as [dequeue] *)
         else begin
           let k = min max (min e segment_capacity - d) in
-          Locks.Probe.site "seg.deq.claim";
+          Locks.Probe.site l_deq_claim;
           let i = A.fetch_and_add head.deq k in
           if i >= segment_capacity then (
             (* racing dequeuers pushed the counter past the rim *)

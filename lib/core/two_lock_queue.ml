@@ -5,6 +5,12 @@
    test-and-test&set spin lock built over the same ATOMIC so that a
    traced instantiation can explore the lock words too. *)
 
+(* Probe labels, bound outside the functors so every instance shares them. *)
+let l_enq_locked = Locks.Probe.label "2lock.enq.locked"
+let l_enq_critical = Locks.Probe.label "2lock.enq.critical"
+let l_deq_locked = Locks.Probe.label "2lock.deq.locked"
+let l_deq_critical = Locks.Probe.label "2lock.deq.critical"
+
 module Make_generic (A : Atomic_intf.ATOMIC) (Lock : sig
   type t
 
@@ -28,16 +34,16 @@ struct
   let enqueue t v =
     let node = { value = Some v; next = A.make None } in
     Lock.with_lock t.t_lock (fun () ->
-        Locks.Probe.site "2lock.enq.locked";
-        Locks.Probe.phase_begin "2lock.enq.critical";
+        Locks.Probe.site l_enq_locked;
+        Locks.Probe.phase_begin l_enq_critical;
         A.set t.tail.next (Some node); (* link at the end *)
         t.tail <- node (* swing Tail *);
-        Locks.Probe.phase_end "2lock.enq.critical")
+        Locks.Probe.phase_end l_enq_critical)
 
   let dequeue t =
     Lock.with_lock t.h_lock (fun () ->
-        Locks.Probe.site "2lock.deq.locked";
-        Locks.Probe.phase_begin "2lock.deq.critical";
+        Locks.Probe.site l_deq_locked;
+        Locks.Probe.phase_begin l_deq_critical;
         let r =
           match A.get t.head.next with
           | None -> None
@@ -48,7 +54,7 @@ struct
               t.head <- node;
               value
         in
-        Locks.Probe.phase_end "2lock.deq.critical";
+        Locks.Probe.phase_end l_deq_critical;
         r)
 
   let peek t =

@@ -132,18 +132,26 @@ module Make (B : Core.Queue_intf.BOUNDED) = struct
     let finished = Atomic.make false in
     let arm = Array.make n_rows 0 in
     let hp_ctr = Array.make n_rows 0 in
-    (* The composed site hook: watchdog escape hatch, crash countdowns,
-       stalled hazard-pointer readers, then the chaos delay itself. *)
-    let hook label =
+    (* Hazard-pointer sites, flagged once per label interned so far:
+       the hook tests a flag, not a string (no allocation per mark). *)
+    let hp_site =
+      Array.init (Locks.Probe.count ()) (fun i ->
+          String.starts_with ~prefix:"msq-hp" Locks.Probe.(name (of_int i)))
+    in
+    (* The site handler at the Chaos position: watchdog escape hatch,
+       the chaos delay itself, crash countdowns, then stalled
+       hazard-pointer readers. *)
+    let hook l =
       if Atomic.get stop then raise Aborted;
-      Obs.Chaos.maybe_delay label;
+      Obs.Chaos.maybe_delay ();
       (let r = row () in
        let c = arm.(r) in
        if c > 0 then begin
          arm.(r) <- c - 1;
-         if c = 1 then raise (Crashed label)
+         if c = 1 then raise (Crashed (Locks.Probe.name l))
        end);
-      if String.length label >= 6 && String.sub label 0 6 = "msq-hp" then begin
+      let id = (l :> int) in
+      if id < Array.length hp_site && hp_site.(id) then begin
         let r = row () in
         hp_ctr.(r) <- hp_ctr.(r) + 1;
         (* every 64th hazard-pointer event, the reader stalls while still
@@ -199,8 +207,7 @@ module Make (B : Core.Queue_intf.BOUNDED) = struct
             ~max_delay:(if storm then 256 else 48)
             ();
           Locks.Backoff.reseed (mix64 cseed);
-          Obs.Chaos.enable ();
-          Locks.Probe.set_site_hook hook;
+          Obs.Chaos.subscribe hook;
           let stamp i k = (round * 100_000_000) + ((i + 1) * 1_000_000) + k in
           let pslots = Array.init producers (fun _ -> fresh_slot ()) in
           let cslots = Array.init consumers (fun _ -> fresh_slot ()) in
@@ -313,7 +320,6 @@ module Make (B : Core.Queue_intf.BOUNDED) = struct
           let cdoms = Array.init consumers (fun j -> Domain.spawn (consumer j)) in
           Array.iter Domain.join pdoms;
           Array.iter Domain.join cdoms;
-          Locks.Probe.clear_site_hook ();
           Obs.Chaos.disable ();
           Array.iter
             (fun s ->
@@ -438,7 +444,6 @@ module Make (B : Core.Queue_intf.BOUNDED) = struct
     in
     Fun.protect
       ~finally:(fun () ->
-        Locks.Probe.clear_site_hook ();
         Obs.Chaos.disable ();
         Atomic.set finished true;
         Domain.join watchdog;

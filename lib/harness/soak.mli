@@ -35,7 +35,8 @@
       [Core.Ms_queue_hp.pending_reclamation] by {!run_all}).
 
     A watchdog domain bounds the whole run in wall-clock time: on expiry
-    it raises the stop flag, the site hook turns into an escape hatch
+    it raises the stop flag, the soak's site handler (subscribed through
+    {!Obs.Chaos.subscribe}) turns into an escape hatch
     (so even a worker spinning inside a blocking queue's wait loop
     unwinds), and the report carries [watchdog_expired = true] — a
     structured verdict, not a hung CI job.
@@ -46,7 +47,8 @@
 
 exception Crashed of string
 (** Raised at a probe site (or between operations) to fell a crash
-    victim; the label names the site where the crash landed. *)
+    victim; it carries the site's {!Locks.Probe.name}, or
+    ["between-ops"]. *)
 
 exception Aborted
 (** Raised at probe sites once the watchdog has expired — the escape

@@ -31,116 +31,73 @@ let cas_retry () = bump cas_retry_cell
 let backoff () = bump backoff_cell
 let help () = bump help_cell
 
-(* Labeled injection sites: a second, independent switch used by the
-   flight recorder (Obs.Flight) to log events, by the chaos layer
-   (Obs.Chaos) to perturb timing and by the profiler (Obs.Profile) to
-   attribute cycles, at algorithm-specific points.  Same discipline as
-   the counters — a single [bool ref] test when nothing is installed.
-   Three independent hook slots (flight, chaos, profile) are composed
-   into one dispatch closure whenever any changes, so the hot path
-   stays one load + one indirect call.  Flight runs first (so a chaos
-   hook that raises — the soak's crash countdowns — still leaves the
-   event in the black box), then chaos, then profile. *)
+(* Labels: one table for every observer.  A name is written before
+   [interned] publishes its id, and a full [names] is replaced by a copy
+   twice its size, so [name] is a plain index without the lock; the
+   mutex only orders interns. *)
 
-let site_enabled = ref false
-let site_hook : (string -> unit) ref = ref (fun _ -> ())
-let site label = if !site_enabled then !site_hook label
+type label = int
 
-let flight_slot : (string -> unit) option ref = ref None
-let chaos_slot : (string -> unit) option ref = ref None
-let profile_slot : (string -> unit) option ref = ref None
+let intern_mutex = Mutex.create ()
+let ids : (string, int) Hashtbl.t = Hashtbl.create 64
+let names = Atomic.make (Array.make 64 "")
+let interned = Atomic.make 0
 
-let recompose () =
-  let installed =
-    List.filter_map Fun.id [ !flight_slot; !chaos_slot; !profile_slot ]
+let label s =
+  Mutex.protect intern_mutex (fun () ->
+      match Hashtbl.find_opt ids s with
+      | Some id -> id
+      | None ->
+          let id = Atomic.get interned in
+          if id = Array.length (Atomic.get names) then
+            Atomic.set names (Array.append (Atomic.get names) (Array.make id ""));
+          (Atomic.get names).(id) <- s;
+          Hashtbl.add ids s id;
+          Atomic.set interned (id + 1);
+          id)
+
+let name l = (Atomic.get names).(l)
+let count () = Atomic.get interned
+let of_int n = if n >= 0 && n < count () then n else invalid_arg "Probe.of_int"
+
+(* Marks and their subscribers: one switch, one table.  [table] holds a
+   handler per position; [active] is the installed ones in position
+   order, rebuilt on every change, so a mark is one load while nothing
+   listens and one loop over [active] otherwise.  A raising handler
+   ends the loop, leaving later positions unrun. *)
+
+type event = Site | Begin | End
+type position = Flight | Chaos | Profile
+
+let index = function Flight -> 0 | Chaos -> 1 | Profile -> 2
+let table : (event -> label -> unit) option array = Array.make 3 None
+let active : (event -> label -> unit) array ref = ref [||]
+let marking = ref false
+
+let refresh () =
+  let hs =
+    Array.fold_right (fun h hs -> match h with Some h -> h :: hs | None -> hs) table []
   in
-  match installed with
-  | [] ->
-      site_enabled := false;
-      site_hook := fun _ -> ()
-  | [ f ] ->
-      site_hook := f;
-      site_enabled := true
-  | [ f; g ] ->
-      (site_hook :=
-         fun label ->
-           f label;
-           g label);
-      site_enabled := true
-  | f :: rest ->
-      (site_hook :=
-         fun label ->
-           f label;
-           List.iter (fun g -> g label) rest);
-      site_enabled := true
+  active := Array.of_list hs;
+  marking := hs <> []
 
-let set_site_hook f =
-  chaos_slot := Some f;
-  recompose ()
+let subscribe p h =
+  table.(index p) <- Some h;
+  refresh ()
 
-let clear_site_hook () =
-  chaos_slot := None;
-  recompose ()
+let unsubscribe p =
+  table.(index p) <- None;
+  refresh ()
 
-let set_profile_site_hook f =
-  profile_slot := Some f;
-  recompose ()
+let emit ev l =
+  let hs = !active in
+  for i = 0 to Array.length hs - 1 do
+    hs.(i) ev l
+  done
 
-let clear_profile_site_hook () =
-  profile_slot := None;
-  recompose ()
-
-let set_flight_site_hook f =
-  flight_slot := Some f;
-  recompose ()
-
-let clear_flight_site_hook () =
-  flight_slot := None;
-  recompose ()
-
-(* Phase spans: begin/end marks around the phases of an operation
-   (snapshot-read, CAS-attempt, backoff, critical section).  One load
-   when no handler is installed.  Two slots — flight recorder and
-   profiler — composed exactly like the site slots, flight first. *)
-
-let phase_enabled = ref false
-let phase_hook : (enter:bool -> string -> unit) ref = ref (fun ~enter:_ _ -> ())
-let phase_begin label = if !phase_enabled then !phase_hook ~enter:true label
-let phase_end label = if !phase_enabled then !phase_hook ~enter:false label
-
-let flight_phase_slot : (enter:bool -> string -> unit) option ref = ref None
-let profile_phase_slot : (enter:bool -> string -> unit) option ref = ref None
-
-let recompose_phase () =
-  match (!flight_phase_slot, !profile_phase_slot) with
-  | None, None ->
-      phase_enabled := false;
-      phase_hook := fun ~enter:_ _ -> ()
-  | Some f, None | None, Some f ->
-      phase_hook := f;
-      phase_enabled := true
-  | Some f, Some g ->
-      (phase_hook :=
-         fun ~enter label ->
-           f ~enter label;
-           g ~enter label);
-      phase_enabled := true
-
-let set_phase_hook f =
-  profile_phase_slot := Some f;
-  recompose_phase ()
-
-let clear_phase_hook () =
-  profile_phase_slot := None;
-  recompose_phase ()
-
-let set_flight_phase_hook f =
-  flight_phase_slot := Some f;
-  recompose_phase ()
-
-let clear_flight_phase_hook () =
-  flight_phase_slot := None;
-  recompose_phase ()
+let site l = if !marking then emit Site l
+let phase_begin l = if !marking then emit Begin l
+let phase_end l = if !marking then emit End l
 
 type counts = { cas_retries : int; backoffs : int; helps : int }
 

@@ -1,12 +1,16 @@
 (** Per-domain event probes for the native queues and locks.
 
-    The hot paths of the native algorithms report contention events here
-    — a failed CAS retried, a backoff spin, a help-along (the paper's
-    E12/D9 lagging-tail fix-ups) — through calls that are a single
-    [bool ref] test when probing is disabled, so the instrumented paths
-    cost nothing measurable by default.  {!Obs} enables probing and
-    attributes the per-domain deltas to individual operations; see
-    [Obs.Instrumented].
+    The hot paths of the native algorithms report two kinds of event
+    here, both through calls that are a single [bool ref] test while
+    nothing listens, so the instrumented paths cost nothing measurable
+    by default:
+
+    - contention counts — a failed CAS retried, a backoff spin, a
+      help-along (the paper's E12/D9 lagging-tail fix-ups) — which
+      {!Obs} attributes to individual operations by differencing a
+      domain's row ([Obs.Instrumented]);
+    - labeled marks — sites and phase spans — delivered as one event
+      stream to the observers subscribed below.
 
     Counters live in cache-line-padded per-domain slots (plain stores,
     single writer per slot), so enabling them adds no coherence traffic
@@ -14,12 +18,12 @@
     share a row; totals remain monotonic, merely coarser. *)
 
 val enabled : bool ref
-(** Probing switch; exposed for tests. Prefer {!enable}/{!disable}. *)
+(** Counting switch; exposed for tests. Prefer {!enable}/{!disable}. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
 
-(** {1 Emission (hot paths)} *)
+(** {1 Counting (hot paths)} *)
 
 val cas_retry : unit -> unit
 (** A CAS failed and the operation is about to retry its loop. *)
@@ -30,75 +34,77 @@ val backoff : unit -> unit
 val help : unit -> unit
 (** A lagging-tail help-along: the paper's E12 or D9 line. *)
 
-(** {1 Labeled injection sites}
+(** {1 Labels}
+
+    A mark names its point with a label interned once, at file top
+    level: [let l_link = Locks.Probe.label "msq.enq.link"].  Labels are
+    stable identifiers like ["msq.enq.link"]; the one table here is the
+    only place their strings live, so every observer keys on the same
+    small int. *)
+
+type label = private int
+(** Interned labels are [0 .. count () - 1], in interning order. *)
+
+val label : string -> label
+(** The label of a string, interned on first use.  Idempotent and
+    domain-safe (a mutex guards the rare first use): two domains
+    interning the same string get the same label. *)
+
+val name : label -> string
+(** The interned string; a load, no lock. *)
+
+val count : unit -> int
+(** Labels interned so far. *)
+
+val of_int : int -> label
+(** The label whose id is [n].  Raises [Invalid_argument] unless
+    [0 <= n < count ()]. *)
+
+(** {1 Marks}
 
     The native queues mark timing-sensitive points — just before and
     after a linearizing CAS/FAA, inside lock-held critical sections —
-    with {!site}.  Three independent consumers can observe them: the
-    flight recorder ([Obs.Flight], via {!set_flight_site_hook}) logs
-    the event into its per-domain black-box ring, the chaos layer
-    ([Obs.Chaos], via {!set_site_hook}) perturbs timing at a site, and
-    the profiler ([Obs.Profile], via {!set_profile_site_hook})
-    attributes cycles to it.  The hook slots are composed into a
-    single dispatch closure whenever any changes, so with no hook
-    installed the call is exactly one [bool ref] load and a branch —
-    the disabled-path cost contract tested in [test_locks.ml].  When
-    several are installed the flight recorder runs first (so a chaos
-    handler that raises — the soak's crash countdowns — still leaves
-    the event in the black box), then chaos, then profile.  Labels are
-    stable identifiers like ["msq.enq.link"]. *)
-
-val site : string -> unit
-(** Mark an injection site on the current code path. *)
-
-val set_site_hook : (string -> unit) -> unit
-(** Install the chaos handler and switch sites on.  The handler runs on
-    the hot path of every marked algorithm, concurrently from any
-    domain — it must be domain-safe and must not call back into the
-    queues. *)
-
-val clear_site_hook : unit -> unit
-(** Drop the chaos handler; sites switch off unless a profile hook
-    remains installed. *)
-
-val set_profile_site_hook : (string -> unit) -> unit
-(** Install the profiler handler (same contract as {!set_site_hook});
-    both handlers run, chaos first, when both are installed. *)
-
-val clear_profile_site_hook : unit -> unit
-
-val set_flight_site_hook : (string -> unit) -> unit
-(** Install the flight-recorder handler (same domain-safety contract as
-    {!set_site_hook}); it runs before the chaos and profile handlers. *)
-
-val clear_flight_site_hook : unit -> unit
-
-(** {1 Phase spans}
-
-    The native queues bracket the phases of an operation —
-    snapshot-read, CAS-attempt, backoff, help-along, in-critical-
-    section — with {!phase_begin}/{!phase_end}.  Disabled cost is the
-    same single-load contract as {!site}.  Spans on one domain nest
+    with {!site}, and bracket the phases of an operation —
+    snapshot-read, CAS-attempt, backoff, help-along, in-critical-section
+    — with {!phase_begin}/{!phase_end}.  Spans on one domain nest
     properly (every [phase_end l] closes the most recent open
-    [phase_begin l]); the handler sees [~enter:true] on begin. *)
+    [phase_begin l]).  With no subscriber a mark is exactly one
+    [bool ref] load and a branch — the disabled-path cost contract
+    tested in [test_locks.ml]. *)
 
-val phase_begin : string -> unit
-val phase_end : string -> unit
+type event = Site | Begin | End
 
-val set_phase_hook : (enter:bool -> string -> unit) -> unit
-(** Install the profiler's span handler (installed by [Obs.Profile]);
-    same domain-safety contract as {!set_site_hook}.  Composes with the
-    flight-recorder phase slot, flight first. *)
+val site : label -> unit
+(** Mark a point event ([Site]) on the current code path. *)
 
-val clear_phase_hook : unit -> unit
+val phase_begin : label -> unit
+(** Open a span ([Begin]). *)
 
-val set_flight_phase_hook : (enter:bool -> string -> unit) -> unit
-(** Install the flight recorder's span handler; composes with the
-    profiler slot, flight first. *)
+val phase_end : label -> unit
+(** Close the innermost span ([End]). *)
 
-val clear_flight_phase_hook : unit -> unit
+(** {1 Subscribers}
 
-(** {1 Reading} *)
+    One table of three positions, each holding at most one handler.
+    Every mark runs the installed handlers in position order: the
+    flight recorder ([Obs.Flight]) first, so a chaos handler that raises
+    — the soak's crash countdowns — still leaves the event in the black
+    box; then the chaos layer ([Obs.Chaos], or a harness standing in
+    for it); then the profiler ([Obs.Profile]).  A handler that raises
+    ends the dispatch of that mark: later positions do not see it. *)
+
+type position = Flight | Chaos | Profile
+
+val subscribe : position -> (event -> label -> unit) -> unit
+(** Install the handler at [position], replacing any there, and switch
+    marks on.  The handler runs on the hot path of every marked
+    algorithm, concurrently from any domain: it must be domain-safe and
+    must not call back into the queues. *)
+
+val unsubscribe : position -> unit
+(** Empty [position]; marks switch off when every position is empty. *)
+
+(** {1 Reading counts} *)
 
 type counts = { cas_retries : int; backoffs : int; helps : int }
 

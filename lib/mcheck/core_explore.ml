@@ -342,7 +342,9 @@ let find_bqueue name = List.assoc_opt name bqueues
    slot to the current cycle and moved on) then deposits into a slot
    whose dequeue ticket has already passed, stranding the value — one
    preemption in [b-empty-race] exposes it as a conservation
-   violation.  Dequeue is the correct algorithm. *)
+   violation.  Everything else is [Core.Scq_queue.Make]'s body, copied
+   without its comments and probe marks; a tier-1 test
+   ([test_mcheck_native.ml]) fails when the two drift apart. *)
 module Broken_scq (A : Core.Atomic_intf.ATOMIC) = struct
   type ring = {
     entries : int A.t array;
@@ -352,9 +354,19 @@ module Broken_scq (A : Core.Atomic_intf.ATOMIC) = struct
     order : int;
   }
 
-  type 'a t = { aq : ring; fq : ring; data : 'a option array; cap : int }
+  type 'a t = {
+    aq : ring;
+    fq : ring;
+    data : Obj.t array;
+    cap : int;
+  }
 
   let name = "broken-scq"
+
+  let free = Obj.repr (ref ())
+
+  let no_index = -1
+
   let imask r = (1 lsl r.order) - 1
   let safe_bit r = 1 lsl r.order
 
@@ -364,20 +376,25 @@ module Broken_scq (A : Core.Atomic_intf.ATOMIC) = struct
   let entry_cycle r e = e asr (r.order + 1)
   let entry_idx r e = e land imask r
   let entry_safe r e = e land safe_bit r <> 0
+
   let threshold3 r = (1 lsl r.order) + (1 lsl (r.order - 1)) - 1
 
   let make_ring ~order ~prefill =
     let n2 = 1 lsl order in
+    let bottom = n2 - 1 in
     let entries =
       Array.init n2 (fun j ->
-          if j < prefill then A.make ((1 lsl order) lor j)
-          else A.make (((-1) lsl (order + 1)) lor (1 lsl order) lor (n2 - 1)))
+          if j < prefill then
+            A.make ((1 lsl order) lor j)
+          else
+            A.make (((-1) lsl (order + 1)) lor (1 lsl order) lor bottom))
     in
     {
       entries;
-      head = A.make 0;
-      tail = A.make prefill;
-      threshold = A.make (if prefill > 0 then n2 + (n2 / 2) - 1 else -1);
+      head = A.make_contended 0;
+      tail = A.make_contended prefill;
+      threshold =
+        A.make_contended (if prefill > 0 then n2 + (n2 / 2) - 1 else -1);
       order;
     }
 
@@ -388,16 +405,23 @@ module Broken_scq (A : Core.Atomic_intf.ATOMIC) = struct
     deposit r idx ~t ~tcycle ~j (A.get r.entries.(j))
 
   and deposit r idx ~t ~tcycle ~j e =
-    (* the bug: no [entry_cycle r e < tcycle] guard *)
-    if entry_idx r e = imask r && (entry_safe r e || A.get r.head <= t) then begin
+    if
+      (* the bug: no [entry_cycle r e < tcycle] conjunct *)
+      entry_idx r e = imask r
+      && (entry_safe r e || A.get r.head <= t)
+    then begin
       if A.compare_and_set r.entries.(j) e (pack r ~cycle:tcycle ~safe:true ~idx)
       then begin
         let thr = threshold3 r in
         if A.get r.threshold <> thr then A.set r.threshold thr
       end
-      else deposit r idx ~t ~tcycle ~j (A.get r.entries.(j))
+      else begin
+        deposit r idx ~t ~tcycle ~j (A.get r.entries.(j))
+      end
     end
-    else enq_ring r idx
+    else begin
+      enq_ring r idx
+    end
 
   let rec catchup r ~tail ~head =
     if not (A.compare_and_set r.tail tail head) then begin
@@ -407,7 +431,7 @@ module Broken_scq (A : Core.Atomic_intf.ATOMIC) = struct
     end
 
   let rec deq_ring r =
-    if A.get r.threshold < 0 then None
+    if A.get r.threshold < 0 then no_index
     else begin
       let h = A.fetch_and_add r.head 1 in
       let hcycle = h lsr r.order in
@@ -418,9 +442,10 @@ module Broken_scq (A : Core.Atomic_intf.ATOMIC) = struct
   and consume r ~h ~hcycle ~j e =
     let ecycle = entry_cycle r e in
     if ecycle = hcycle && entry_idx r e <> imask r then begin
-      if A.compare_and_set r.entries.(j) e (e lor imask r) then
-        Some (entry_idx r e)
-      else consume r ~h ~hcycle ~j (A.get r.entries.(j))
+      if A.compare_and_set r.entries.(j) e (e lor imask r) then entry_idx r e
+      else begin
+        consume r ~h ~hcycle ~j (A.get r.entries.(j))
+      end
     end
     else begin
       let advanced =
@@ -430,24 +455,33 @@ module Broken_scq (A : Core.Atomic_intf.ATOMIC) = struct
               pack r ~cycle:hcycle ~safe:(entry_safe r e) ~idx:(imask r)
             else e land lnot (safe_bit r)
           in
-          desired = e || A.compare_and_set r.entries.(j) e desired
+          if desired = e then true
+          else if A.compare_and_set r.entries.(j) e desired then true
+          else begin
+            false
+          end
         end
         else true
       in
-      if not advanced then consume r ~h ~hcycle ~j (A.get r.entries.(j))
+      if not advanced then
+        consume r ~h ~hcycle ~j (A.get r.entries.(j))
       else begin
         let t = A.get r.tail in
         if t <= h + 1 then begin
           catchup r ~tail:t ~head:(h + 1);
           ignore (A.fetch_and_add r.threshold (-1));
-          None
+          no_index
         end
-        else if A.fetch_and_add r.threshold (-1) <= 0 then None
+        else if A.fetch_and_add r.threshold (-1) <= 0 then no_index
         else deq_ring r
       end
     end
 
-  let create ?(capacity = 1024) () =
+  let default_capacity = 1024
+
+  let create ?(capacity = default_capacity) () =
+    if capacity < 1 then
+      invalid_arg "Scq_queue.create: capacity must be >= 1";
     let rec order_for k = if 1 lsl k >= capacity then k else order_for (k + 1) in
     let cap_order = order_for 0 in
     let cap = 1 lsl cap_order in
@@ -455,33 +489,41 @@ module Broken_scq (A : Core.Atomic_intf.ATOMIC) = struct
     {
       aq = make_ring ~order ~prefill:0;
       fq = make_ring ~order ~prefill:cap;
-      data = Array.make cap None;
+      data = Array.make cap free;
       cap;
     }
 
   let capacity t = t.cap
 
   let try_enqueue t v =
-    match deq_ring t.fq with
-    | None -> false
-    | Some i ->
-        t.data.(i) <- Some v;
-        enq_ring t.aq i;
-        true
+    let i = deq_ring t.fq in
+    let ok = i <> no_index in
+    if ok then begin
+      t.data.(i) <- Obj.repr v;
+      enq_ring t.aq i
+    end;
+    ok
 
   let try_dequeue t =
-    match deq_ring t.aq with
-    | None -> None
-    | Some i ->
+    let i = deq_ring t.aq in
+    let r =
+      if i = no_index then None
+      else begin
         let v = t.data.(i) in
-        t.data.(i) <- None;
+        assert (v != free);
+        t.data.(i) <- free;
         enq_ring t.fq i;
-        v
+        Some (Obj.obj v)
+      end
+    in
+    r
 
   let length t =
-    Array.fold_left
-      (fun acc e -> if entry_idx t.aq (A.get e) <> imask t.aq then acc + 1 else acc)
-      0 t.aq.entries
+    min t.cap
+      (Array.fold_left
+         (fun acc e ->
+           if entry_idx t.aq (A.get e) <> imask t.aq then acc + 1 else acc)
+         0 t.aq.entries)
 
   let is_empty t = length t = 0
 end

@@ -51,15 +51,19 @@ let perturb () =
     done
   end
 
-let maybe_delay _label = if !on then perturb ()
+let maybe_delay () = if !on then perturb ()
 
-let enable () =
+(* Chaos acts on sites only; phase marks pass through untouched. *)
+let subscribe on_site =
   on := true;
-  Locks.Probe.set_site_hook maybe_delay
+  Locks.Probe.subscribe Locks.Probe.Chaos (fun ev l ->
+      match ev with Locks.Probe.Site -> on_site l | Begin | End -> ())
+
+let enable () = subscribe (fun _ -> maybe_delay ())
 
 let disable () =
   on := false;
-  Locks.Probe.clear_site_hook ()
+  Locks.Probe.unsubscribe Locks.Probe.Chaos
 
 let with_enabled ?seed f =
   (match seed with Some s -> configure ~seed:s () | None -> ());
@@ -72,10 +76,10 @@ let with_enabled ?seed f =
    [Make_bounded]; [Make]/[Make_batch] apply it through
    [Queue_intf.Unbounded] ('a t = 'a Q.t stays visible in this file;
    the mli seals it) and delegate the rest. *)
-let enter () = maybe_delay "wrap.pre"
+let enter () = maybe_delay ()
 
 let leave r =
-  maybe_delay "wrap.post";
+  maybe_delay ();
   r
 
 module Make_bounded (Q : Core.Queue_intf.BOUNDED) = struct

@@ -4,8 +4,9 @@
     The linearizable queues must tolerate {e any} interleaving, but an
     unperturbed stress test explores only the narrow band of schedules
     the hardware happens to produce.  This module widens that band: it
-    installs a handler on the labeled injection sites the queues mark
-    via {!Locks.Probe.site} — immediately before and after linearizing
+    subscribes at the [Chaos] position of [Locks.Probe]'s mark stream
+    and acts on the labeled sites the queues mark via
+    {!Locks.Probe.site} — immediately before and after linearizing
     CAS/FAA instructions, inside lock-held critical sections — and, at
     each, sometimes spins through a randomized [Domain.cpu_relax] burst
     (occasionally a 16x longer one, standing in for a preemption).
@@ -38,10 +39,17 @@ val configure : ?seed:int64 -> ?one_in:int -> ?max_delay:int -> unit -> unit
 val current : unit -> config
 
 val enable : unit -> unit
-(** Install the site handler ({!Locks.Probe.set_site_hook}) and
-    activate the wrappers. *)
+(** Activate the wrappers and subscribe {!maybe_delay} to every site
+    mark, at [Locks.Probe]'s [Chaos] position. *)
+
+val subscribe : (Locks.Probe.label -> unit) -> unit
+(** [subscribe on_site] is {!enable} with [on_site] in place of
+    {!maybe_delay}: a harness's handler, which calls it itself and may
+    raise to end the mark's dispatch (the soak's crash countdowns). *)
 
 val disable : unit -> unit
+(** Deactivate, and empty the [Chaos] position. *)
+
 val enabled : unit -> bool
 
 val with_enabled : ?seed:int64 -> (unit -> 'a) -> 'a
@@ -54,8 +62,8 @@ val hits : unit -> int
 
 val reset_hits : unit -> unit
 
-val maybe_delay : string -> unit
-(** The site handler itself: no-op when disabled, possible perturbation
+val maybe_delay : unit -> unit
+(** The perturbation at one site: no-op when disabled, possible delay
     when enabled.  Exposed so harnesses can add ad-hoc sites. *)
 
 (** {1 Wrapping whole queues}

@@ -1,11 +1,11 @@
 (* The flight recorder: an always-on black box of the queues' last
-   moments.  Each domain logs fixed-size binary records — interned site
-   id, monotonic timestamp, event tag, raw domain id — into its own
-   overwrite-oldest ring (plain stores, one writer per ring row), fed
-   from the [Locks.Probe] flight hook slots.  When nothing is enabled
-   the queues pay only Probe's one-load-and-branch disabled path; when
-   enabled, the per-event cost is one clock read, a physical-equality
-   cache probe for the label, and four array stores.
+   moments.  Each domain logs fixed-size binary records — the mark's
+   [Locks.Probe] label id, monotonic timestamp, event tag, raw domain
+   id — into its own overwrite-oldest ring (plain stores, one writer per
+   ring row), fed from the first position of Probe's subscriber table.
+   When nothing is enabled the queues pay only Probe's one-load-and-
+   branch disabled path; when enabled, the per-event cost is one clock
+   read and four array stores.
 
    A dump renders the rings as Chrome-trace (catapult) JSON loadable in
    Perfetto or chrome://tracing.  The anomaly latch arms a dump path
@@ -59,86 +59,20 @@ let configure ~capacity =
 
 let recorded () = Rows.fold (fun n ring -> n + ring.(head_cell)) 0 !rings
 
-(* ------------------------------------------------------------------ *)
-(* Site-label interning.  The global table is mutex-protected and only
-   reached on a cache miss; the hot path probes a 16-slot per-ring-row
-   cache by physical equality — site labels are literal strings, so the
-   same call site always presents the same physical string. *)
+(* One record per mark: the label's id as [Locks.Probe] interned it,
+   so the path is a ring lookup, a clock read and four stores. *)
+let tag = function Locks.Probe.Site -> tag_site | Begin -> tag_begin | End -> tag_end
 
-let intern_mutex = Mutex.create ()
-let table : (string, int) Hashtbl.t = Hashtbl.create 64
-let names = ref (Array.make 64 "")
-let n_names = ref 0
-
-let intern_slow label =
-  Mutex.lock intern_mutex;
-  let id =
-    match Hashtbl.find_opt table label with
-    | Some id -> id
-    | None ->
-        let id = !n_names in
-        if id >= Array.length !names then begin
-          let bigger = Array.make (2 * Array.length !names) "" in
-          Array.blit !names 0 bigger 0 id;
-          names := bigger
-        end;
-        !names.(id) <- label;
-        Hashtbl.add table label id;
-        incr n_names;
-        id
-  in
-  Mutex.unlock intern_mutex;
-  id
-
-(* Ring row [r]'s cache: [cache_slots] (label, id) pairs, replaced
-   round-robin on a miss.  Allocated by the row's first event, like the
-   ring itself, so a program that never records allocates none; it
-   outlives [reset], since interned ids never change.  Domains that
-   collide modulo [n_rings] share it, and if two install it at once the
-   loser's entries are only re-interned on its next miss. *)
-type cache = { labels : string array; ids : int array; mutable cursor : int }
-
-let cache_slots = 16
-let no_cache = { labels = [||]; ids = [||]; cursor = 0 }
-let caches = Array.make n_rings no_cache
-
-(* Slot [i] onward of cache [c].  A top-level function, so the
-   per-event path builds no closure. *)
-let rec probe c label i =
-  if i >= cache_slots then begin
-    let id = intern_slow label in
-    let k = c.cursor land (cache_slots - 1) in
-    c.cursor <- k + 1;
-    (* id before label: a colliding domain matching the new label then
-       reads an id that is already the matching one *)
-    c.ids.(k) <- id;
-    c.labels.(k) <- label;
-    id
-  end
-  else if c.labels.(i) == label then c.ids.(i)
-  else probe c label (i + 1)
-
-let install_cache r =
-  let c = { labels = Array.make cache_slots ""; ids = Array.make cache_slots 0; cursor = 0 } in
-  caches.(r) <- c;
-  c
-
-let intern r label =
-  let c = caches.(r) in
-  probe (if c != no_cache then c else install_cache r) label 0
-
-let record tag label =
+let record ev (l : Locks.Probe.label) =
   let d = (Domain.self () :> int) in
-  (* the ring first: its loads overlap the label probe and clock read *)
   let c = !cap in
   let ring = Rows.row !rings ~width:(first_rec + (c * rec_words)) d in
-  let id = intern (d land (n_rings - 1)) label in
   let t = Int64.to_int (Monotonic_clock.now ()) in
   let h = ring.(head_cell) in
   let base = first_rec + ((h land (c - 1)) * rec_words) in
-  ring.(base + id_cell) <- id;
+  ring.(base + id_cell) <- (l :> int);
   ring.(base + t_cell) <- t;
-  ring.(base + tag_cell) <- tag;
+  ring.(base + tag_cell) <- tag ev;
   ring.(base + dom_cell) <- d;
   ring.(head_cell) <- h + 1
 
@@ -147,15 +81,12 @@ let enabled () = !on
 let enable () =
   if not !on then begin
     on := true;
-    Locks.Probe.set_flight_site_hook (fun label -> record tag_site label);
-    Locks.Probe.set_flight_phase_hook (fun ~enter label ->
-        record (if enter then tag_begin else tag_end) label)
+    Locks.Probe.subscribe Locks.Probe.Flight record
   end
 
 let disable () =
   if !on then begin
-    Locks.Probe.clear_flight_site_hook ();
-    Locks.Probe.clear_flight_phase_hook ();
+    Locks.Probe.unsubscribe Locks.Probe.Flight;
     on := false
   end
 
@@ -192,67 +123,40 @@ let collect () =
     !rings;
   List.sort (fun a b -> compare (a.r_t, a.r_tid) (b.r_t, b.r_tid)) !recs
 
-let name_of id =
-  if id >= 0 && id < !n_names then !names.(id) else Printf.sprintf "site#%d" id
-
 let dump_json ~reason () =
   let recs = collect () in
   let t_min = match recs with [] -> 0 | r :: _ -> r.r_t in
   let t_max = List.fold_left (fun m r -> max m r.r_t) t_min recs in
-  let us t = float_of_int (t - t_min) /. 1e3 in
   let depth = Array.make n_rings 0 in
   let events = ref [] in
-  let emit e = events := e :: !events in
+  let emit ?name ph t tid rest =
+    let named = match name with Some n -> [ ("name", Json.String n) ] | None -> [] in
+    let us = float_of_int (t - t_min) /. 1e3 in
+    events :=
+      Json.Assoc
+        (named
+        @ [ ("ph", Json.String ph); ("ts", Json.Float us); ("pid", Json.Int 1); ("tid", Json.Int tid) ]
+        @ rest)
+      :: !events
+  in
   List.iter
     (fun r ->
-      let name = name_of r.r_id in
+      let name = Locks.Probe.(name (of_int r.r_id)) in
       if r.r_tag = tag_site then
-        emit
-          (Json.Assoc
-             [
-               ("name", Json.String name);
-               ("ph", Json.String "i");
-               ("ts", Json.Float (us r.r_t));
-               ("pid", Json.Int 1);
-               ("tid", Json.Int r.r_tid);
-               ("s", Json.String "t");
-               ("args", Json.Assoc [ ("domain", Json.Int r.r_dom) ]);
-             ])
+        emit ~name "i" r.r_t r.r_tid
+          [ ("s", Json.String "t"); ("args", Json.Assoc [ ("domain", Json.Int r.r_dom) ]) ]
       else if r.r_tag = tag_begin then begin
         depth.(r.r_tid) <- depth.(r.r_tid) + 1;
-        emit
-          (Json.Assoc
-             [
-               ("name", Json.String name);
-               ("ph", Json.String "B");
-               ("ts", Json.Float (us r.r_t));
-               ("pid", Json.Int 1);
-               ("tid", Json.Int r.r_tid);
-             ])
+        emit ~name "B" r.r_t r.r_tid []
       end
       else if depth.(r.r_tid) > 0 then begin
         depth.(r.r_tid) <- depth.(r.r_tid) - 1;
-        emit
-          (Json.Assoc
-             [
-               ("name", Json.String name);
-               ("ph", Json.String "E");
-               ("ts", Json.Float (us r.r_t));
-               ("pid", Json.Int 1);
-               ("tid", Json.Int r.r_tid);
-             ])
+        emit ~name "E" r.r_t r.r_tid []
       end)
     recs;
   for tid = 0 to n_rings - 1 do
     for _ = 1 to depth.(tid) do
-      emit
-        (Json.Assoc
-           [
-             ("ph", Json.String "E");
-             ("ts", Json.Float (us t_max));
-             ("pid", Json.Int 1);
-             ("tid", Json.Int tid);
-           ])
+      emit "E" t_max tid []
     done
   done;
   Json.Assoc

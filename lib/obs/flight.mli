@@ -1,37 +1,37 @@
 (** The flight recorder: an always-on black box for the native queues.
 
     While enabled, every {!Locks.Probe.site} and phase mark is logged as
-    a fixed-size binary record — interned site id, monotonic-ns
-    timestamp, event tag, domain id — into a per-domain overwrite-oldest
-    ring.  When a run dies (soak watchdog expiry, audit failure,
-    liveness timeout, breaker trip) the rings hold the last moments of
-    every domain, dumped as Chrome-trace (catapult) JSON loadable in
-    Perfetto or chrome://tracing.
+    a fixed-size binary record — the mark's {!Locks.Probe.label} id,
+    monotonic-ns timestamp, event tag, domain id — into a per-domain
+    overwrite-oldest ring.  When a run dies (soak watchdog expiry, audit
+    failure, liveness timeout, breaker trip) the rings hold the last
+    moments of every domain, dumped as Chrome-trace (catapult) JSON
+    loadable in Perfetto or chrome://tracing, with each label's name
+    read back from {!Locks.Probe.name}.
 
     Cost contract: with the recorder disabled the queues pay only
     [Locks.Probe]'s single-load-and-branch path (asserted in
-    [test_locks.ml]); enabled, each event costs one clock read, a
-    physical-equality label-cache probe, and four plain array stores
-    into a ring row written by one domain.  Domains colliding modulo
+    [test_locks.ml]); enabled, each event costs one clock read and four
+    plain array stores into a ring row written by one domain — the
+    recorder keeps no label state of its own.  Domains colliding modulo
     {!n_rings} share a row; records may shear, the dump still loads.
 
-    Memory: a ring row and its 16-entry label cache are allocated by
-    the first event a domain records ({!Rows}) — [capacity () * 4]
-    words, 32 KB at the default capacity, plus about 0.3 KB of cache —
-    so the recorder costs its two 64-slot tables plus one ring per
-    recording domain, and {!enable} allocates nothing.  After a domain's
-    first event, recording allocates nothing. *)
+    Memory: a ring row is allocated by the first event a domain records
+    ({!Rows}) — [capacity () * 4] words, 32 KB at the default capacity —
+    so the recorder costs its 64-slot table plus one ring per recording
+    domain, and {!enable} allocates nothing.  After a domain's first
+    event, recording allocates nothing. *)
 
 val n_rings : int
 (** Ring rows (64); Chrome-trace [tid] = domain id modulo this. *)
 
 val enable : unit -> unit
-(** Install the flight hooks into [Locks.Probe]'s flight slots;
-    idempotent.  Rings are allocated by each domain's first event, not
-    here. *)
+(** Subscribe at [Locks.Probe]'s [Flight] position, ahead of chaos and
+    the profiler; idempotent.  Rings are allocated by each domain's
+    first event, not here. *)
 
 val disable : unit -> unit
-(** Uninstall the hooks; retained records survive for a later dump. *)
+(** Unsubscribe; retained records survive for a later dump. *)
 
 val enabled : unit -> bool
 

@@ -19,9 +19,9 @@ end
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* Run [f], attributing its latency and its per-domain probe deltas
-   (CAS retries, backoffs, helps) to [m].  [phase] is a precomputed
-   "<queue>.enq"/"<queue>.deq" label (precomputed so the hot path does
-   not concatenate): the whole operation becomes one Probe phase span,
+   (CAS retries, backoffs, helps) to [m].  [phase] is the
+   "<queue>.enq"/"<queue>.deq" label, interned once per functor
+   application: the whole operation becomes one Probe phase span,
    which Obs.Profile turns into a per-operation latency histogram
    alongside the finer in-operation phases the queues mark
    themselves. *)
@@ -54,8 +54,8 @@ module Make_bounded (Q : Core.Queue_intf.BOUNDED) = struct
   type 'a t = { q : 'a Q.t; m : Metrics.t }
 
   let name = Q.name
-  let enq_phase = Q.name ^ ".enq"
-  let deq_phase = Q.name ^ ".deq"
+  let enq_phase = Locks.Probe.label (Q.name ^ ".enq")
+  let deq_phase = Locks.Probe.label (Q.name ^ ".deq")
 
   let create ?capacity () = { q = Q.create ?capacity (); m = Metrics.create Q.name }
 
@@ -112,8 +112,8 @@ module Make (Q : Core.Queue_intf.S) : S = Make_s (Q)
 module Make_batch (Q : Core.Queue_intf.BATCH) : BATCH_S = struct
   include Make_s (Q)
 
-  let enq_batch_phase = Q.name ^ ".enq_batch"
-  let deq_batch_phase = Q.name ^ ".deq_batch"
+  let enq_batch_phase = Locks.Probe.label (Q.name ^ ".enq_batch")
+  let deq_batch_phase = Locks.Probe.label (Q.name ^ ".deq_batch")
 
   let enqueue_batch t vs =
     if not (Control.enabled ()) then Q.enqueue_batch t.q vs

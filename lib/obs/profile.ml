@@ -1,96 +1,98 @@
-(* Per-site contention profiles and per-phase spans, fed by the
-   Locks.Probe hooks.  All hot-path state is per-domain (one slot per
-   domain id modulo [n_slots], single writer each), so enabling the
-   profiler adds no cross-domain coherence traffic beyond the clock
-   reads.  Aggregation happens at snapshot time and is accurate once
-   writers are quiescent — the same contract as Probe and Histogram. *)
+(* Per-site contention profiles and per-phase spans, one subscriber of
+   the Locks.Probe mark stream.  Each label has one [Counter] of marks
+   and one [Histogram] of attributed spans per kind (site or phase),
+   installed by the label's first mark; a domain's clock anchor and
+   open-span stack live in its [Rows] row, installed by its first mark.
+   Enabling the profiler adds no cross-domain coherence traffic beyond
+   the clock reads.  Aggregation happens at snapshot time and is
+   accurate once writers are quiescent — the same contract as Probe and
+   Histogram. *)
 
 let n_slots = 64
 let max_phase_depth = 32
 
+(* A domain's row: the clock at its previous mark (0 = none), its span
+   depth, then the start times of its open spans. *)
+let last_cell = 0
+let depth_cell = 1
+let first_start = 2
+let row_width = first_start + max_phase_depth
+
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-type stat = {
-  mutable events : int;
-  mutable cycles : int; (* exact ns sum, also Histogram.sum of hist *)
-  hist : Histogram.t;
-}
+type stat = { l : Locks.Probe.label; marks : Counter.t; hist : Histogram.t }
 
-type slot = {
-  sites : (string, stat) Hashtbl.t;
-  phases : (string, stat) Hashtbl.t;
-  mutable last_ns : int; (* clock at the previous probe mark; 0 = none *)
-  ph_labels : string array;
-  ph_starts : int array;
-  mutable depth : int;
-}
+(* Stats by label id, one table per kind.  A table only grows, under
+   [install_mutex]; a mark reads it without the lock and takes the lock
+   only for a label it has not seen. *)
+let sites : stat option array ref = ref [||]
+let phases : stat option array ref = ref [||]
+let rows = ref (Rows.create ~slots:n_slots)
+let install_mutex = Mutex.create ()
 
-let fresh_slot () =
-  {
-    sites = Hashtbl.create 16;
-    phases = Hashtbl.create 16;
-    last_ns = 0;
-    ph_labels = Array.make max_phase_depth "";
-    ph_starts = Array.make max_phase_depth 0;
-    depth = 0;
-  }
+let install table (l : Locks.Probe.label) =
+  Mutex.protect install_mutex (fun () ->
+      let id = (l :> int) in
+      let a = !table in
+      let a =
+        if id < Array.length a then a
+        else begin
+          let b = Array.make (max 64 (2 * id)) None in
+          Array.blit a 0 b 0 (Array.length a);
+          b
+        end
+      in
+      match a.(id) with
+      | Some s -> s
+      | None ->
+          let s = { l; marks = Counter.create (); hist = Histogram.create () } in
+          a.(id) <- Some s;
+          table := a;
+          s)
 
-let slots = Array.init n_slots (fun _ -> fresh_slot ())
-
-let my_slot () = slots.((Domain.self () :> int) land (n_slots - 1))
-
-let stat_of table label =
-  match Hashtbl.find_opt table label with
+let stat table (l : Locks.Probe.label) =
+  let a = !table and id = (l :> int) in
+  match if id < Array.length a then a.(id) else None with
   | Some s -> s
-  | None ->
-      let s = { events = 0; cycles = 0; hist = Histogram.create () } in
-      Hashtbl.add table label s;
-      s
+  | None -> install table l
 
 (* A site is a point event: the cycles attributed to it are the span
-   since the domain's previous probe mark (site, phase begin or phase
-   end) — i.e. the cost of the code region that ends at this site.  The
-   first mark after enable/reset anchors the clock and attributes
-   nothing. *)
-let on_site label =
-  let slot = my_slot () in
-  let now = now_ns () in
-  let s = stat_of slot.sites label in
-  s.events <- s.events + 1;
-  if slot.last_ns <> 0 then begin
-    let dt = now - slot.last_ns in
-    if dt >= 0 then begin
-      s.cycles <- s.cycles + dt;
-      Histogram.record s.hist dt
-    end
-  end;
-  slot.last_ns <- now
+   since the domain's previous mark (site, phase begin or phase end) —
+   i.e. the cost of the code region that ends at this site.  The first
+   mark after enable/reset anchors the clock and attributes nothing. *)
+let on_site row l now =
+  let s = stat sites l in
+  Counter.incr s.marks;
+  let last = row.(last_cell) in
+  if last <> 0 && now >= last then Histogram.record s.hist (now - last)
 
-let on_phase ~enter label =
-  let slot = my_slot () in
-  let now = now_ns () in
-  if enter then begin
-    if slot.depth < max_phase_depth then begin
-      slot.ph_labels.(slot.depth) <- label;
-      slot.ph_starts.(slot.depth) <- now
-    end;
-    slot.depth <- slot.depth + 1
-  end
-  else if slot.depth > 0 then begin
-    slot.depth <- slot.depth - 1;
-    if slot.depth < max_phase_depth then begin
-      let dt = now - slot.ph_starts.(slot.depth) in
-      (* record under the label the end names: tolerant of mismatched
-         brackets, identical to the opener when spans nest properly *)
-      let s = stat_of slot.phases label in
-      s.events <- s.events + 1;
-      if dt >= 0 then begin
-        s.cycles <- s.cycles + dt;
-        Histogram.record s.hist dt
-      end
+let on_begin row now =
+  let d = row.(depth_cell) in
+  if d < max_phase_depth then row.(first_start + d) <- now;
+  row.(depth_cell) <- d + 1
+
+(* Recorded under the label the end names: tolerant of mismatched
+   brackets, identical to the opener when spans nest properly. *)
+let on_end row l now =
+  let d = row.(depth_cell) - 1 in
+  if d >= 0 then begin
+    row.(depth_cell) <- d;
+    if d < max_phase_depth then begin
+      let s = stat phases l in
+      Counter.incr s.marks;
+      let dt = now - row.(first_start + d) in
+      if dt >= 0 then Histogram.record s.hist dt
     end
-  end;
-  slot.last_ns <- now
+  end
+
+let on_mark ev l =
+  let row = Rows.mine !rows ~width:row_width in
+  let now = now_ns () in
+  (match ev with
+  | Locks.Probe.Site -> on_site row l now
+  | Locks.Probe.Begin -> on_begin row now
+  | Locks.Probe.End -> on_end row l now);
+  row.(last_cell) <- now
 
 let on = ref false
 
@@ -99,19 +101,19 @@ let enabled () = !on
 let enable () =
   if not !on then begin
     on := true;
-    Locks.Probe.set_profile_site_hook on_site;
-    Locks.Probe.set_phase_hook on_phase
+    Locks.Probe.subscribe Locks.Probe.Profile on_mark
   end
 
 let disable () =
   if !on then begin
     on := false;
-    Locks.Probe.clear_profile_site_hook ();
-    Locks.Probe.clear_phase_hook ()
+    Locks.Probe.unsubscribe Locks.Probe.Profile
   end
 
 let reset () =
-  Array.iteri (fun i _ -> slots.(i) <- fresh_slot ()) slots
+  sites := [||];
+  phases := [||];
+  rows := Rows.create ~slots:n_slots
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)
@@ -129,44 +131,31 @@ let p50 e = Histogram.percentile e.hist 50.
 let p99 e = Histogram.percentile e.hist 99.
 let p999 e = Histogram.p999 e.hist
 
-let aggregate select =
-  let acc : (string, entry) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun slot ->
-      Hashtbl.iter
-        (fun label (s : stat) ->
-          match Hashtbl.find_opt acc label with
-          | Some e ->
-              Histogram.merge_into ~into:e.hist s.hist;
-              Hashtbl.replace acc label
-                {
-                  e with
-                  events = e.events + s.events;
-                  cycles = e.cycles + s.cycles;
-                }
-          | None ->
-              let hist = Histogram.merge s.hist (Histogram.create ()) in
-              Hashtbl.add acc label
-                { label; events = s.events; cycles = s.cycles; hist })
-        (select slot))
-    slots;
-  let all = Hashtbl.fold (fun _ e acc -> e :: acc) acc [] in
-  List.sort
-    (fun a b ->
-      match compare b.cycles a.cycles with
-      | 0 -> compare a.label b.label
-      | c -> c)
-    all
+let by_cycles a b =
+  match compare b.cycles a.cycles with 0 -> compare a.label b.label | c -> c
 
-let snapshot () =
-  { sites = aggregate (fun s -> s.sites); phases = aggregate (fun s -> s.phases) }
+let entries table =
+  Array.fold_left
+    (fun acc -> function
+      | None -> acc
+      | Some (s : stat) ->
+          let hist = Histogram.merge s.hist (Histogram.create ()) in
+          {
+            label = Locks.Probe.name s.l;
+            events = Counter.value s.marks;
+            cycles = Histogram.sum hist;
+            hist;
+          }
+          :: acc)
+    [] !table
+  |> List.sort by_cycles
+
+let snapshot () = { sites = entries sites; phases = entries phases }
 
 let diff_entries after before =
-  let prior = Hashtbl.create 16 in
-  List.iter (fun e -> Hashtbl.replace prior e.label e) before;
   after
   |> List.map (fun e ->
-         match Hashtbl.find_opt prior e.label with
+         match List.find_opt (fun b -> b.label = e.label) before with
          | None -> e
          | Some b ->
              {
@@ -175,10 +164,7 @@ let diff_entries after before =
                cycles = max 0 (e.cycles - b.cycles);
              })
   |> List.filter (fun e -> e.events > 0)
-  |> List.sort (fun a b ->
-         match compare b.cycles a.cycles with
-         | 0 -> compare a.label b.label
-         | c -> c)
+  |> List.sort by_cycles
 
 let diff after before =
   {

@@ -3,11 +3,13 @@
     The native queues already mark their timing-sensitive points with
     {!Locks.Probe.site} (stable labels like ["msq.enq.link"]) and
     bracket operation phases with {!Locks.Probe.phase_begin}/
-    [phase_end].  Enabling the profiler installs hooks behind both so
-    every mark is accounted to its label: event counts, exact
-    nanosecond sums, and a log2-bucketed latency {!Histogram} per
-    label, all in per-domain slots (single writer each, no coherence
-    traffic between domains).
+    [phase_end].  Enabling the profiler subscribes it at the last
+    position of Probe's mark stream, so every mark is accounted to its
+    {!Locks.Probe.label}: each label gets one {!Counter} of marks and
+    one log2-bucketed latency {!Histogram} whose exact sum is the
+    label's cycles, per kind (site or phase), created by the label's
+    first mark.  Both write per-domain rows (single writer each, no
+    coherence traffic between domains).
 
     A {e site} is a point event; the cycles attributed to it are the
     span since the calling domain's previous probe mark — the cost of
@@ -21,16 +23,23 @@
     Aggregation is snapshot-time only and accurate once writers are
     quiescent — the same contract as {!Locks.Probe} and {!Histogram}.
     With the profiler disabled the marks in the queues cost a single
-    [bool ref] load each. *)
+    [bool ref] load each.
+
+    Memory: a domain's clock anchor and open-span stack (34 words) are
+    an {!Rows} row, allocated by the domain's first mark; before any
+    mark the profiler is its 64-slot row table and two empty label
+    tables, and {!reset} allocates no more than that. *)
 
 val enabled : unit -> bool
 
 val enable : unit -> unit
-(** Install the probe hooks and start accounting.  Idempotent.
-    Composes with the chaos layer: both can hook sites at once. *)
+(** Subscribe at [Locks.Probe]'s [Profile] position and start
+    accounting.  Idempotent.  Runs after the flight recorder and the
+    chaos layer, which may be subscribed at the same time; a mark whose
+    chaos handler raises is not counted. *)
 
 val disable : unit -> unit
-(** Remove the hooks.  Accumulated state survives until {!reset}. *)
+(** Unsubscribe.  Accumulated state survives until {!reset}. *)
 
 val reset : unit -> unit
 (** Drop all accumulated state.  Callers must ensure no concurrent

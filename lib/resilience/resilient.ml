@@ -6,6 +6,15 @@
    adjustments — and a first-try success reads it only while
    [Obs.Control] is on. *)
 
+(* Probe labels, interned once. *)
+let l_breaker_trip = Locks.Probe.label "res.breaker.trip"
+let l_breaker_recover = Locks.Probe.label "res.breaker.recover"
+let l_timeout = Locks.Probe.label "res.timeout"
+let l_shed = Locks.Probe.label "res.shed"
+let l_reject = Locks.Probe.label "res.reject"
+let l_enq = Locks.Probe.label "res.enq"
+let l_deq = Locks.Probe.label "res.deq"
+
 type policy = Fail_fast | Block_until of int | Shed
 
 type config = {
@@ -142,7 +151,7 @@ let note_refusal rt br kind ~timed =
     then begin
       Atomic.set br.opened_at (now_ns ());
       Obs.Counter.incr rt.c_trips;
-      Locks.Probe.site "res.breaker.trip";
+      Locks.Probe.site l_breaker_trip;
       (* a minor anomaly: claims the flight-recorder latch only if no
          real failure (watchdog, audit) has *)
       Obs.Flight.note_anomaly ~major:false
@@ -157,7 +166,7 @@ let reopen rt br =
   if Atomic.compare_and_set br.state st_half st_open then begin
     Atomic.set br.opened_at (now_ns ());
     Obs.Counter.incr rt.c_trips;
-    Locks.Probe.site "res.breaker.trip";
+    Locks.Probe.site l_breaker_trip;
     Obs.Flight.note_anomaly ~major:false
       ~reason:("breaker-retrip:" ^ rt.metrics.Obs.Metrics.name)
       ()
@@ -172,7 +181,7 @@ let recover rt br =
     && Atomic.compare_and_set br.state st_half st_closed
   then begin
     Obs.Counter.incr rt.c_recoveries;
-    Locks.Probe.site "res.breaker.recover"
+    Locks.Probe.site l_breaker_recover
   end
 
 (* Every success ends the run of refusals.  The shared cell is written
@@ -202,13 +211,13 @@ let refuse rt br ~probing err =
   (match err with
   | Timed_out ->
       Obs.Counter.incr rt.c_timeouts;
-      Locks.Probe.site "res.timeout"
+      Locks.Probe.site l_timeout
   | Shedded ->
       Obs.Counter.incr rt.c_sheds;
-      Locks.Probe.site "res.shed"
+      Locks.Probe.site l_shed
   | Rejected ->
       Obs.Counter.incr rt.c_rejections;
-      Locks.Probe.site "res.reject");
+      Locks.Probe.site l_reject);
   Error err
 
 let deadline_of rt start =
@@ -303,7 +312,7 @@ let gated rt br kind attempt ~timed ~t0 =
           reopen rt br;
           raise e)
 
-let phase_label = function Enq -> "res.enq" | Deq -> "res.deq"
+let phase_label = function Enq -> l_enq | Deq -> l_deq
 
 (* The engine.  [attempt] returns [None] on a refusal (empty dequeue /
    full bounded enqueue) and must leave the queue unchanged in that

@@ -69,9 +69,18 @@ let qcheck_sequential name (module Q : Core.Queue_intf.S) =
 (* ------------------------------------------------------------------ *)
 (* Multi-domain stress: conservation, uniqueness, per-producer order *)
 
+(* Each worker dequeues right after its own enqueue, so an element is
+   always there to take; a worker still finding the queue empty after
+   this long is waiting for one that was lost.  It gives up, and the
+   test fails instead of spinning forever. *)
+let stall_limit_s = 60.
+
+exception Stalled
+
 let stress (module Q : Core.Queue_intf.S) ~domains ~per =
   let q = Q.create () in
   let results = Array.make domains [] in
+  let stalled = Atomic.make false in
   let gate = Atomic.make 0 in
   let body i () =
     Atomic.incr gate;
@@ -79,26 +88,33 @@ let stress (module Q : Core.Queue_intf.S) ~domains ~per =
       Domain.cpu_relax ()
     done;
     let got = ref [] in
-    for k = 1 to per do
-      Q.enqueue q ((i * 1_000_000) + k);
-      let rec deq () =
-        match Q.dequeue q with
-        | Some v -> got := v :: !got
-        | None ->
-            Domain.cpu_relax ();
-            deq ()
-      in
-      deq ()
-    done;
+    (try
+       for k = 1 to per do
+         Q.enqueue q ((i * 1_000_000) + k);
+         let rec deq spins since =
+           match Q.dequeue q with
+           | Some v -> got := v :: !got
+           | None ->
+               if spins land 4095 = 0 && Unix.gettimeofday () -. since > stall_limit_s
+               then raise Stalled;
+               Domain.cpu_relax ();
+               deq (spins + 1) since
+         in
+         deq 1 (Unix.gettimeofday ())
+       done
+     with Stalled -> Atomic.set stalled true);
     results.(i) <- !got
   in
   let ds = List.init domains (fun i -> Domain.spawn (body i)) in
   List.iter Domain.join ds;
-  (Q.is_empty q, results)
+  (Q.is_empty q, Atomic.get stalled, results)
 
 let test_stress name (module Q : Core.Queue_intf.S) () =
   let domains = 4 and per = 2_000 in
-  let empty_at_end, results = stress (module Q) ~domains ~per in
+  let empty_at_end, stalled, results = stress (module Q) ~domains ~per in
+  if stalled then
+    Alcotest.failf "%s: a worker found the queue empty for %.0f s: an element was lost"
+      name stall_limit_s;
   let all = Array.to_list results |> List.concat in
   Alcotest.(check int) (name ^ " conservation") (domains * per) (List.length all);
   Alcotest.(check int)

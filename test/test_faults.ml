@@ -235,8 +235,9 @@ let test_liveness_registry_sweep () =
 
 let test_site_hook_labels () =
   let seen = ref [] in
-  Locks.Probe.set_site_hook (fun label ->
-      if not (List.mem label !seen) then seen := label :: !seen);
+  Locks.Probe.subscribe Chaos (fun ev l ->
+      let label = Locks.Probe.name l in
+      if ev = Site && not (List.mem label !seen) then seen := label :: !seen);
   let q = Core.Ms_queue.create () in
   for i = 1 to 10 do
     Core.Ms_queue.enqueue q i
@@ -244,7 +245,7 @@ let test_site_hook_labels () =
   for _ = 1 to 10 do
     ignore (Core.Ms_queue.dequeue q)
   done;
-  Locks.Probe.clear_site_hook ();
+  Locks.Probe.unsubscribe Chaos;
   let count_after = List.length !seen in
   Core.Ms_queue.enqueue q 99;
   List.iter
@@ -309,11 +310,11 @@ let test_configure_rejects_nonsense () =
 let test_chaos_draw_allocates_nothing () =
   Obs.Chaos.configure ~one_in:1_000_000 ();
   Obs.Chaos.with_enabled (fun () ->
-      Obs.Chaos.maybe_delay "warm";
+      Obs.Chaos.maybe_delay ();
       let n = 10_000 in
       let w0 = Gc.minor_words () in
       for _ = 1 to n do
-        Obs.Chaos.maybe_delay "site"
+        Obs.Chaos.maybe_delay ()
       done;
       let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
       if per_call >= 0.01 then
@@ -334,9 +335,11 @@ let test_hp_bounded_under_stalled_reader () =
   let release = Atomic.make false in
   (* park the victim inside dequeue, hazard pointers published on the
      live head — exactly the adversary a stalled/preempted domain is *)
-  Locks.Probe.set_site_hook (fun label ->
+  let protected = Locks.Probe.label "msq-hp.deq.protected" in
+  Locks.Probe.subscribe Chaos (fun ev label ->
       if
-        label = "msq-hp.deq.protected"
+        ev = Site
+        && label = protected
         && (Domain.self () :> int) = Atomic.get victim_id
         && not (Atomic.get parked)
       then begin
@@ -369,7 +372,7 @@ let test_hp_bounded_under_stalled_reader () =
     (!max_pending <= 80);
   Atomic.set release true;
   ignore (Domain.join victim);
-  Locks.Probe.clear_site_hook ();
+  Locks.Probe.unsubscribe Chaos;
   (* hazards released: the next scans drain the backlog completely *)
   let min_pending = ref max_int in
   for k = 1 to 200 do

@@ -131,7 +131,7 @@ let test_splitmix_pinned () =
       Obs.Chaos.with_enabled (fun () ->
           String.init 1000 (fun _ ->
               let h = Obs.Chaos.hits () in
-              Obs.Chaos.maybe_delay "pin";
+              Obs.Chaos.maybe_delay ();
               if Obs.Chaos.hits () > h then '1' else '0'))
     in
     let d = Obs.Chaos.default in
@@ -173,8 +173,8 @@ let test_backoff_invalid () =
   Alcotest.check_raises "bad params" (Invalid_argument "Backoff.create") (fun () ->
       ignore (Locks.Backoff.create ~initial:8 ~limit:4 ()))
 
-(* The Probe disabled-path contract (see probe.mli): with no hook
-   installed, [site]/[phase_begin]/[phase_end] are a single [bool ref]
+(* The Probe disabled-path contract (see probe.mli): with no
+   subscriber, [site]/[phase_begin]/[phase_end] are a single [bool ref]
    load and a branch, and [cas_retry] the same on [enabled] — no
    allocation, no table lookups, no clock reads.  Functionally: nothing
    is recorded.  Microbench-style: a disabled mark costs within noise
@@ -182,16 +182,16 @@ let test_backoff_invalid () =
    point is catching an accidental hashtable or clock on the disabled
    path, which costs 10-100x, not measuring nanoseconds exactly). *)
 let test_probe_disabled_functional () =
-  Locks.Probe.clear_site_hook ();
-  Locks.Probe.clear_profile_site_hook ();
-  Locks.Probe.clear_phase_hook ();
+  Locks.Probe.unsubscribe Chaos;
+  Locks.Probe.unsubscribe Profile;
   Locks.Probe.disable ();
   Locks.Probe.reset ();
   let before = Locks.Probe.totals () in
+  let l = Locks.Probe.label "t.disabled" in
   for _ = 1 to 1_000 do
-    Locks.Probe.site "t.disabled";
-    Locks.Probe.phase_begin "t.disabled";
-    Locks.Probe.phase_end "t.disabled";
+    Locks.Probe.site l;
+    Locks.Probe.phase_begin l;
+    Locks.Probe.phase_end l;
     Locks.Probe.cas_retry ();
     Locks.Probe.backoff ();
     Locks.Probe.help ()
@@ -221,10 +221,11 @@ let assert_disabled_cost () =
           noop ()
         done)
   in
+  let l = Locks.Probe.label "t.cost" in
   let disabled =
     time (fun () ->
         for _ = 1 to n do
-          Locks.Probe.site "t.cost";
+          Locks.Probe.site l;
           Locks.Probe.cas_retry ()
         done)
   in
@@ -242,26 +243,25 @@ let assert_disabled_cost () =
       (budget *. 1e9 /. float_of_int n)
 
 let test_probe_disabled_cost () =
-  Locks.Probe.clear_site_hook ();
-  Locks.Probe.clear_profile_site_hook ();
-  Locks.Probe.clear_phase_hook ();
+  Locks.Probe.unsubscribe Chaos;
+  Locks.Probe.unsubscribe Profile;
   Locks.Probe.disable ();
   assert_disabled_cost ()
 
 (* The flight recorder must not erode the disabled-path contract: after
-   an enable/disable cycle (hooks installed into the flight slots, then
-   removed) a mark must again be the single load-and-branch — the
-   recompose must leave no wrapper closure, clock read or ring store
+   an enable/disable cycle (subscribed at the Flight position, then
+   unsubscribed) a mark must again be the single load-and-branch — the
+   subscriber table must leave no handler, clock read or ring store
    behind.  Same budget as the plain disabled-cost test. *)
 let test_flight_cycle_disabled_cost () =
   Obs.Flight.enable ();
-  Locks.Probe.site "t.flight.cycle";
-  Locks.Probe.phase_begin "t.flight.cycle";
-  Locks.Probe.phase_end "t.flight.cycle";
+  let l = Locks.Probe.label "t.flight.cycle" in
+  Locks.Probe.site l;
+  Locks.Probe.phase_begin l;
+  Locks.Probe.phase_end l;
   Obs.Flight.disable ();
-  Locks.Probe.clear_site_hook ();
-  Locks.Probe.clear_profile_site_hook ();
-  Locks.Probe.clear_phase_hook ();
+  Locks.Probe.unsubscribe Chaos;
+  Locks.Probe.unsubscribe Profile;
   Locks.Probe.disable ();
   assert_disabled_cost ()
 
@@ -271,9 +271,10 @@ let test_flight_records_probe_marks () =
   Obs.Flight.reset ();
   Obs.Flight.enable ();
   let before = Obs.Flight.recorded () in
-  Locks.Probe.site "t.flight.site";
-  Locks.Probe.phase_begin "t.flight.span";
-  Locks.Probe.phase_end "t.flight.span";
+  Locks.Probe.site (Locks.Probe.label "t.flight.site");
+  let span = Locks.Probe.label "t.flight.span" in
+  Locks.Probe.phase_begin span;
+  Locks.Probe.phase_end span;
   Obs.Flight.disable ();
   let n = Obs.Flight.recorded () - before in
   Alcotest.(check bool) "site + span recorded" true (n >= 3);
@@ -283,6 +284,99 @@ let test_flight_records_probe_marks () =
   | Some (Obs.Json.List evs) ->
       Alcotest.(check bool) "dump has events" true (List.length evs >= 3)
   | _ -> Alcotest.fail "dump has no traceEvents array"
+
+(* The mark stream's contracts (see probe.mli): one label per string,
+   whichever domain interns it first; every mark delivered to a
+   subscriber as its event and label, in program order; and handlers
+   dispatched Flight, Chaos, Profile, so a chaos handler that raises (the
+   soak's crash countdown) leaves the mark in the flight ring and out of
+   the profile. *)
+
+let test_label_interning () =
+  for round = 1 to 8 do
+    let fresh = Printf.sprintf "t.intern.race.%d" round in
+    let go = Atomic.make false in
+    let racer () =
+      while not (Atomic.get go) do
+        Domain.cpu_relax ()
+      done;
+      Locks.Probe.label fresh
+    in
+    let d1 = Domain.spawn racer and d2 = Domain.spawn racer in
+    Atomic.set go true;
+    let a = Domain.join d1 and b = Domain.join d2 in
+    Alcotest.(check int) "racing domains get one label" (a :> int) (b :> int);
+    Alcotest.(check string) "name round-trips" fresh (Locks.Probe.name a);
+    Alcotest.(check int) "idempotent" (a :> int) (Locks.Probe.label fresh :> int);
+    Alcotest.(check int) "of_int round-trips" (a :> int)
+      (Locks.Probe.of_int (a :> int) :> int)
+  done;
+  let x = Locks.Probe.label "t.intern.x" and y = Locks.Probe.label "t.intern.y" in
+  Alcotest.(check bool) "distinct strings, distinct labels" true (x <> y);
+  Alcotest.(check string) "x" "t.intern.x" (Locks.Probe.name x);
+  Alcotest.(check string) "y" "t.intern.y" (Locks.Probe.name y);
+  Alcotest.check_raises "of_int past the table"
+    (Invalid_argument "Probe.of_int") (fun () ->
+      ignore (Locks.Probe.of_int (Locks.Probe.count ())))
+
+let test_stream_delivery () =
+  let got = ref [] in
+  let span = Locks.Probe.label "t.deliver.span"
+  and point = Locks.Probe.label "t.deliver.site" in
+  Locks.Probe.subscribe Profile (fun ev l -> got := (ev, Locks.Probe.name l) :: !got);
+  Fun.protect
+    ~finally:(fun () -> Locks.Probe.unsubscribe Profile)
+    (fun () ->
+      Locks.Probe.phase_begin span;
+      Locks.Probe.site point;
+      Locks.Probe.phase_end span);
+  Alcotest.(check bool) "begin, site, end with their labels, in order" true
+    (List.rev !got
+    = [
+        (Locks.Probe.Begin, "t.deliver.span");
+        (Site, "t.deliver.site");
+        (End, "t.deliver.span");
+      ]);
+  Locks.Probe.site point;
+  Alcotest.(check int) "nothing after unsubscribe" 3 (List.length !got)
+
+exception Felled
+
+let test_stream_dispatch_order () =
+  let felled = Locks.Probe.label "t.order.felled"
+  and passed = Locks.Probe.label "t.order.passed" in
+  Obs.Flight.disable ();
+  Obs.Flight.reset ();
+  Obs.Profile.reset ();
+  Obs.Flight.enable ();
+  Obs.Profile.enable ();
+  Locks.Probe.subscribe Chaos (fun ev l ->
+      if ev = Site && l = felled then raise Felled);
+  Fun.protect
+    ~finally:(fun () ->
+      Locks.Probe.unsubscribe Chaos;
+      Obs.Profile.disable ();
+      Obs.Flight.disable ())
+    (fun () ->
+      Locks.Probe.site passed;
+      match Locks.Probe.site felled with
+      | () -> Alcotest.fail "the chaos handler's exception must propagate"
+      | exception Felled -> ());
+  let names =
+    match Obs.Json.member "traceEvents" (Obs.Flight.dump_json ~reason:"order" ()) with
+    | Some (Obs.Json.List evs) ->
+        List.filter_map
+          (fun e -> Option.bind (Obs.Json.member "name" e) Obs.Json.to_string_opt)
+          evs
+    | _ -> Alcotest.fail "dump has no traceEvents array"
+  in
+  Alcotest.(check bool) "flight, first, recorded the felled mark" true
+    (List.mem "t.order.felled" names);
+  let profiled = List.map (fun e -> e.Obs.Profile.label) (Obs.Profile.snapshot ()).sites in
+  Alcotest.(check bool) "profile counted the mark before it" true
+    (List.mem "t.order.passed" profiled);
+  Alcotest.(check bool) "profile, last, never saw the felled mark" false
+    (List.mem "t.order.felled" profiled)
 
 let suites =
   let per_lock f label =
@@ -323,5 +417,11 @@ let suites =
           test_flight_cycle_disabled_cost;
         Alcotest.test_case "flight recorder captures probe marks" `Quick
           test_flight_records_probe_marks;
+        Alcotest.test_case "labels interned once across domains" `Quick
+          test_label_interning;
+        Alcotest.test_case "subscriber sees begin, site, end in order" `Quick
+          test_stream_delivery;
+        Alcotest.test_case "dispatch order: flight, chaos, profile" `Quick
+          test_stream_dispatch_order;
       ] );
   ]

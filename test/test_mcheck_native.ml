@@ -149,6 +149,119 @@ let test_broken_scq_caught_and_replayable () =
 
 (* The length oracle reads the bound: an SCQ whose [length] over-counts
    by one is caught in b-length, where one item is live. *)
+(* The planted SCQ must be the shipping one minus its bug: the body of
+   [Broken_scq] against [Core.Scq_queue.Make]'s, compared as code —
+   comments and blank lines dropped, probe marks and [name] skipped
+   (the copy may omit them) — with the guard conjunct
+   [entry_cycle r e < tcycle] deleted from the original.  An SCQ change
+   that skips the planted copy fails here. *)
+
+let strip_comments s =
+  let n = String.length s and b = Buffer.create (String.length s) in
+  let rec code i =
+    if i < n then
+      if s.[i] = '"' then begin
+        Buffer.add_char b '"';
+        str (i + 1)
+      end
+      else if i + 1 < n && s.[i] = '(' && s.[i + 1] = '*' then comment 1 (i + 2)
+      else begin
+        Buffer.add_char b s.[i];
+        code (i + 1)
+      end
+  and str i =
+    if i < n then begin
+      Buffer.add_char b s.[i];
+      if s.[i] = '\\' && i + 1 < n then begin
+        Buffer.add_char b s.[i + 1];
+        str (i + 2)
+      end
+      else if s.[i] = '"' then code (i + 1)
+      else str (i + 1)
+    end
+  and comment depth i =
+    if i < n then
+      if s.[i] = '\n' then begin
+        Buffer.add_char b '\n';
+        comment depth (i + 1)
+      end
+      else if i + 1 < n && s.[i] = '(' && s.[i + 1] = '*' then
+        comment (depth + 1) (i + 2)
+      else if i + 1 < n && s.[i] = '*' && s.[i + 1] = ')' then
+        if depth = 1 then code (i + 2) else comment (depth - 1) (i + 2)
+      else comment depth (i + 1)
+  in
+  code 0;
+  Buffer.contents b
+
+let rtrim l =
+  let k = ref (String.length l) in
+  while !k > 0 && (l.[!k - 1] = ' ' || l.[!k - 1] = '\t') do
+    decr k
+  done;
+  String.sub l 0 !k
+
+(* The code lines of the module opened by [header] in [file], up to its
+   column-0 [end]. *)
+let code_lines ~file ~header =
+  let rec after = function
+    | [] -> Alcotest.failf "%s: no line %S" file header
+    | l :: rest -> if l = header then rest else after rest
+  in
+  let rec upto acc = function
+    | [] -> Alcotest.failf "%s: %S has no closing end" file header
+    | "end" :: _ -> List.rev acc
+    | l :: rest -> upto (l :: acc) rest
+  in
+  let body = upto [] (after (String.split_on_char '\n' (Specialize.read_file file))) in
+  String.split_on_char '\n' (strip_comments (String.concat "\n" body))
+  |> List.map rtrim
+  |> List.filter (fun l ->
+         let t = String.trim l in
+         t <> ""
+         && (not (Specialize.contains t "Locks.Probe."))
+         && not (String.starts_with ~prefix:"let name =" t))
+
+let guard = "entry_cycle r e < tcycle"
+
+(* [lines] with the guard line deleted and the [&& ] that joined the
+   next conjunct to it dropped. *)
+let rec without_guard = function
+  | [] -> Alcotest.failf "Scq_queue.Make: no %S conjunct line" guard
+  | l :: next :: rest when String.trim l = guard ->
+      let t = String.trim next in
+      if not (String.starts_with ~prefix:"&& " t) then
+        Alcotest.failf "the line after the guard is not a conjunct: %S" next;
+      let indent = String.length next - String.length t in
+      (String.make indent ' ' ^ String.sub t 3 (String.length t - 3)) :: rest
+  | l :: rest -> l :: without_guard rest
+
+let test_planted_scq_tracks_scq () =
+  let shipped =
+    code_lines ~file:"../lib/core/scq_queue.ml"
+      ~header:"module Make (A : Atomic_intf.ATOMIC) = struct"
+    |> without_guard
+  in
+  let planted =
+    code_lines ~file:"../lib/mcheck/core_explore.ml"
+      ~header:"module Broken_scq (A : Core.Atomic_intf.ATOMIC) = struct"
+  in
+  let rec compare_from i a b =
+    match (a, b) with
+    | [], [] -> ()
+    | x :: a, y :: b ->
+        if x <> y then
+          Alcotest.failf
+            "Broken_scq drifted from Scq_queue.Make at code line %d:\n\
+             shipped: %s\n\
+             planted: %s"
+            i x y;
+        compare_from (i + 1) a b
+    | x :: _, [] -> Alcotest.failf "Broken_scq lacks code line %d: %s" i x
+    | [], y :: _ -> Alcotest.failf "Broken_scq has extra code line %d: %s" i y
+  in
+  compare_from 1 shipped planted
+
 let test_length_oracle_catches_overcount () =
   let module Q = (val Option.get (Core_explore.find_bqueue "scq")) in
   let module Over = struct
@@ -240,6 +353,8 @@ let suites =
           test_broken_caught_and_replayable;
         Alcotest.test_case "planted SCQ cycle bug caught and replayable"
           `Quick test_broken_scq_caught_and_replayable;
+        Alcotest.test_case "planted SCQ is the shipping body minus its guard"
+          `Quick test_planted_scq_tracks_scq;
         Alcotest.test_case "exploration deterministic" `Quick
           test_exploration_deterministic;
         Alcotest.test_case "random mode deterministic" `Quick

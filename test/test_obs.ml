@@ -351,10 +351,11 @@ let test_profile_sites () =
   Obs.Profile.reset ();
   Obs.Profile.enable ();
   Alcotest.(check bool) "enabled" true (Obs.Profile.enabled ());
-  Locks.Probe.site "t.anchor";
+  let site_a = Locks.Probe.label "t.site_a" in
+  Locks.Probe.site (Locks.Probe.label "t.anchor");
   for _ = 1 to 50 do
     spin 200;
-    Locks.Probe.site "t.site_a"
+    Locks.Probe.site site_a
   done;
   Obs.Profile.disable ();
   Alcotest.(check bool) "disabled" false (Obs.Profile.enabled ());
@@ -368,7 +369,7 @@ let test_profile_sites () =
     (Obs.Histogram.sum a.Obs.Profile.hist);
   Alcotest.(check bool) "p50 available" true (Obs.Profile.p50 a <> None);
   (* disabled: further marks record nothing *)
-  Locks.Probe.site "t.site_a";
+  Locks.Probe.site site_a;
   let s' = Obs.Profile.snapshot () in
   let a' = List.find (fun e -> e.Obs.Profile.label = "t.site_a") s'.sites in
   Alcotest.(check int) "no recording when disabled" 50 a'.Obs.Profile.events
@@ -376,12 +377,13 @@ let test_profile_sites () =
 let test_profile_phases () =
   Obs.Profile.reset ();
   Obs.Profile.enable ();
+  let outer = Locks.Probe.label "t.outer" and inner = Locks.Probe.label "t.inner" in
   for _ = 1 to 20 do
-    Locks.Probe.phase_begin "t.outer";
-    Locks.Probe.phase_begin "t.inner";
+    Locks.Probe.phase_begin outer;
+    Locks.Probe.phase_begin inner;
     spin 100;
-    Locks.Probe.phase_end "t.inner";
-    Locks.Probe.phase_end "t.outer"
+    Locks.Probe.phase_end inner;
+    Locks.Probe.phase_end outer
   done;
   Obs.Profile.disable ();
   let s = Obs.Profile.snapshot () in
@@ -398,13 +400,14 @@ let test_profile_phases () =
 let test_profile_diff_and_json () =
   Obs.Profile.reset ();
   Obs.Profile.enable ();
-  Locks.Probe.site "t.d";
+  let t_d = Locks.Probe.label "t.d" in
+  Locks.Probe.site t_d;
   for _ = 1 to 10 do
-    Locks.Probe.site "t.d"
+    Locks.Probe.site t_d
   done;
   let before = Obs.Profile.snapshot () in
   for _ = 1 to 7 do
-    Locks.Probe.site "t.d"
+    Locks.Probe.site t_d
   done;
   Obs.Profile.disable ();
   let after = Obs.Profile.snapshot () in
@@ -433,11 +436,12 @@ let test_profile_multi_domain () =
   Obs.Profile.reset ();
   Obs.Profile.enable ();
   let domains = 4 and per = 1_000 in
+  let md = Locks.Probe.label "t.md" in
   let ds =
     List.init domains (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to per do
-              Locks.Probe.site "t.md"
+              Locks.Probe.site md
             done))
   in
   List.iter Domain.join ds;
@@ -452,18 +456,20 @@ let test_profile_multi_domain () =
 let test_profile_composes_with_chaos_hook () =
   Obs.Profile.reset ();
   let chaos_seen = ref 0 in
-  Locks.Probe.set_site_hook (fun _ -> incr chaos_seen);
+  Locks.Probe.subscribe Chaos (fun ev _ ->
+      if ev = Locks.Probe.Site then incr chaos_seen);
   Obs.Profile.enable ();
+  let both = Locks.Probe.label "t.both" in
   for _ = 1 to 5 do
-    Locks.Probe.site "t.both"
+    Locks.Probe.site both
   done;
   Alcotest.(check int) "chaos hook saw every mark" 5 !chaos_seen;
   Obs.Profile.disable ();
   for _ = 1 to 3 do
-    Locks.Probe.site "t.both"
+    Locks.Probe.site both
   done;
   Alcotest.(check int) "chaos hook survives profiler removal" 8 !chaos_seen;
-  Locks.Probe.clear_site_hook ();
+  Locks.Probe.unsubscribe Chaos;
   let s = Obs.Profile.snapshot () in
   let e = List.find (fun e -> e.Obs.Profile.label = "t.both") s.sites in
   Alcotest.(check int) "profiler saw its window" 5 e.Obs.Profile.events
@@ -690,6 +696,17 @@ let test_layer_footprints () =
   at_most "default fabric" ~bytes:(1100 * 1024)
     (Fabric.Queue_fabric.create () : int Fabric.Queue_fabric.t)
 
+(* The profiler's per-domain state is a row installed by the domain's
+   first mark, so [reset] swaps in an empty row table and two empty
+   label tables.  Rebuilding 64 per-domain slots up front, as it once
+   did, cost about 7.5k words. *)
+let test_profile_reset_allocates_little () =
+  let w0 = Gc.minor_words () in
+  Obs.Profile.reset ();
+  let words = Gc.minor_words () -. w0 in
+  if words >= 512. then
+    Alcotest.failf "Profile.reset allocates %.0f minor words (bound 512)" words
+
 (* Two domains on distinct slots writing at once: no row is shared, so
    the totals are exact. *)
 let test_two_domains_exact () =
@@ -727,6 +744,8 @@ let suites =
           test_histogram_footprint;
         Alcotest.test_case "metrics, engine and fabric bounds" `Quick
           test_layer_footprints;
+        Alcotest.test_case "profile reset allocates under 512 words" `Quick
+          test_profile_reset_allocates_little;
         Alcotest.test_case "two domains on distinct slots exact" `Quick
           test_two_domains_exact;
       ] );

@@ -53,8 +53,9 @@ let test_quantile () =
 let test_profile_p999 () =
   Obs.Profile.reset ();
   Obs.Profile.enable ();
-  Locks.Probe.phase_begin "resilience.test";
-  Locks.Probe.phase_end "resilience.test";
+  let l = Locks.Probe.label "resilience.test" in
+  Locks.Probe.phase_begin l;
+  Locks.Probe.phase_end l;
   Obs.Profile.disable ();
   let snap = Obs.Profile.snapshot () in
   match
@@ -242,9 +243,14 @@ let test_raising_attempt () =
   (* the phase bracket closes on the fast path and on a half-open
      probe, and a probe that dies re-opens the circuit *)
   let depth = ref 0 in
-  Locks.Probe.set_phase_hook (fun ~enter label ->
-      if label = "res.deq" then depth := !depth + if enter then 1 else -1);
-  Fun.protect ~finally:Locks.Probe.clear_phase_hook (fun () ->
+  let res_deq = Locks.Probe.label "res.deq" in
+  Locks.Probe.subscribe Profile (fun ev label ->
+      if label = res_deq then
+        match ev with
+        | Begin -> incr depth
+        | End -> decr depth
+        | Site -> ());
+  Fun.protect ~finally:(fun () -> Locks.Probe.unsubscribe Profile) (fun () ->
       let e = R.Engine.create ~config:quick ~name:"raise" () in
       let boom () = failwith "boom" in
       (match R.Engine.dequeue e boom with

@@ -324,10 +324,11 @@ let test_flight_dump_loads () =
   Obs.Flight.disable ();
   Obs.Flight.reset ();
   Obs.Flight.enable ();
-  Locks.Probe.site "t.dump.site";
-  Locks.Probe.phase_begin "t.dump.span";
-  Locks.Probe.site "t.dump.inner";
-  Locks.Probe.phase_end "t.dump.span";
+  let span = Locks.Probe.label "t.dump.span" in
+  Locks.Probe.site (Locks.Probe.label "t.dump.site");
+  Locks.Probe.phase_begin span;
+  Locks.Probe.site (Locks.Probe.label "t.dump.inner");
+  Locks.Probe.phase_end span;
   Obs.Flight.disable ();
   let doc = Obs.Flight.dump_json ~reason:"unit-test" () in
   (* round-trips through the parser *)
@@ -376,8 +377,9 @@ let test_flight_overwrites_oldest () =
   Obs.Flight.configure ~capacity:16;
   Obs.Flight.enable ();
   let before = Obs.Flight.recorded () in
+  let wrap = Locks.Probe.label "t.ring.wrap" in
   for _ = 1 to 100 do
-    Locks.Probe.site "t.ring.wrap"
+    Locks.Probe.site wrap
   done;
   Obs.Flight.disable ();
   Alcotest.(check int) "every event counted" 100
@@ -398,12 +400,14 @@ let test_flight_record_allocates_nothing () =
   Obs.Flight.disable ();
   Obs.Flight.reset ();
   Obs.Flight.enable ();
+  let site = Locks.Probe.label "t.alloc.site"
+  and span = Locks.Probe.label "t.alloc.span" in
   let triple () =
-    Locks.Probe.site "t.alloc.site";
-    Locks.Probe.phase_begin "t.alloc.span";
-    Locks.Probe.phase_end "t.alloc.span"
+    Locks.Probe.site site;
+    Locks.Probe.phase_begin span;
+    Locks.Probe.phase_end span
   in
-  (* warm-up: every label interned and in this ring row's cache *)
+  (* warm-up: this domain's ring row installed *)
   for _ = 1 to 100 do
     triple ()
   done;
@@ -435,10 +439,10 @@ let test_flight_records_survive_cycle () =
   Alcotest.(check int) "reset leaves no records" 0 (Obs.Flight.recorded ());
   Obs.Flight.enable ();
   Alcotest.(check int) "enable records nothing" 0 (retained ());
-  Locks.Probe.site "t.cycle.one";
+  Locks.Probe.site (Locks.Probe.label "t.cycle.one");
   Obs.Flight.disable ();
   Obs.Flight.enable ();
-  Locks.Probe.site "t.cycle.two";
+  Locks.Probe.site (Locks.Probe.label "t.cycle.two");
   Obs.Flight.disable ();
   Alcotest.(check int) "both events recorded" 2 (Obs.Flight.recorded ());
   Alcotest.(check int) "both survive the cycle" 2 (retained ());
@@ -451,7 +455,7 @@ let test_flight_latch_priority () =
   Obs.Flight.disable ();
   Obs.Flight.reset ();
   Obs.Flight.enable ();
-  Locks.Probe.site "t.latch";
+  Locks.Probe.site (Locks.Probe.label "t.latch");
   Obs.Flight.disable ();
   Obs.Flight.arm_dump ~path;
   Alcotest.(check bool) "armed, nothing dumped yet" true
