@@ -39,8 +39,9 @@ fabric-smoke:
 # Exhaustive small-scope model checking of the NATIVE queues: the
 # shipping lib/core functors instantiated with a traced atomic, every
 # interleaving within the preemption budget checked for conservation
-# and linearizability.  --self-test also runs the deliberately broken
-# Michael-Scott variant and fails unless the checker catches it.
+# and linearizability.  --self-test also runs every mutant (one planted
+# bug per battery queue, generated from the shipping text by the table
+# in lib/mcheck/dune) and fails unless the checker catches each one.
 mcheck-native:
 	dune exec bin/msq_check.exe -- mcheck-native --depth-limit 10000 \
 	  --self-test --trace-out mcheck-counterexample.txt

@@ -579,10 +579,11 @@ let mcheck_native_cmd =
   let self_test =
     Arg.(value & flag
          & info [ "self-test" ]
-             ~doc:"Also run the deliberately broken variants — Michael-Scott \
-                   with a Head store instead of D12's compare-and-set, and \
-                   SCQ with the cycle comparison dropped from the slot claim \
-                   — and fail unless the checker catches both.")
+             ~doc:"Also run every mutant — a battery queue's shipping text \
+                   with one planted bug, generated at build time from the \
+                   mutant table in lib/mcheck/dune, such as Michael-Scott \
+                   with a Head store instead of D12's compare-and-set — and \
+                   fail unless the checker catches each one.")
   in
   let trace_out =
     Arg.(value & opt (some string) None

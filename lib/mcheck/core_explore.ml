@@ -111,65 +111,6 @@ let queues : (string * (module QUEUE)) list =
 let find_queue name = List.assoc_opt name queues
 
 (* ------------------------------------------------------------------ *)
-(* The planted bug: Figure 1 with D12's compare_and_set replaced by a
-   plain store.  Two dequeuers that both read the same Head then both
-   "win" return the same value — the lost-update race the checker must
-   find (it needs one preemption between D11 and D12).  Enqueue is the
-   correct algorithm, so single-process runs pass. *)
-module Broken_ms (A : Core.Atomic_intf.ATOMIC) = struct
-  type 'a node = { mutable value : 'a option; next : 'a node option A.t }
-
-  type 'a t = { head : 'a node A.t; tail : 'a node A.t }
-
-  let name = "broken-ms"
-
-  let create () =
-    let dummy = { value = None; next = A.make None } in
-    { head = A.make dummy; tail = A.make dummy }
-
-  let enqueue t v =
-    let node = { value = Some v; next = A.make None } in
-    let rec loop () =
-      let tail = A.get t.tail in
-      let next = A.get tail.next in
-      if A.get t.tail == tail then
-        match next with
-        | None -> if A.compare_and_set tail.next next (Some node) then tail else loop ()
-        | Some n ->
-            ignore (A.compare_and_set t.tail tail n);
-            loop ()
-      else loop ()
-    in
-    let tail = loop () in
-    ignore (A.compare_and_set t.tail tail node)
-
-  let dequeue t =
-    let rec loop () =
-      let head = A.get t.head in
-      let tail = A.get t.tail in
-      let next = A.get head.next in
-      if head == tail then
-        match next with
-        | None -> None
-        | Some n ->
-            ignore (A.compare_and_set t.tail tail n);
-            loop ()
-      else
-        match next with
-        | None -> loop ()
-        | Some n ->
-            let value = n.value in
-            A.set t.head n; (* the bug: D12 without the CAS *)
-            value
-    in
-    loop ()
-end
-
-module Broken = Broken_ms (Traced_atomic)
-
-let broken : (module QUEUE) = (module Broken)
-
-(* ------------------------------------------------------------------ *)
 (* Oracle and driver. *)
 
 (* Multiset equality of accepted enqueues vs. dequeued values —
@@ -336,202 +277,6 @@ let bqueues : (string * (module BQUEUE)) list = [ ("scq", (module T_scq)) ]
 
 let find_bqueue name = List.assoc_opt name bqueues
 
-(* The planted bug for the bounded checker's self-test: SCQ with the
-   cycle comparison dropped from the ring-enqueue slot claim.  An
-   enqueuer whose ticket was overrun by a dequeuer (which advanced the
-   slot to the current cycle and moved on) then deposits into a slot
-   whose dequeue ticket has already passed, stranding the value — one
-   preemption in [b-empty-race] exposes it as a conservation
-   violation.  Everything else is [Core.Scq_queue.Make]'s body, copied
-   without its comments and probe marks; a tier-1 test
-   ([test_mcheck_native.ml]) fails when the two drift apart. *)
-module Broken_scq (A : Core.Atomic_intf.ATOMIC) = struct
-  type ring = {
-    entries : int A.t array;
-    head : int A.t;
-    tail : int A.t;
-    threshold : int A.t;
-    order : int;
-  }
-
-  type 'a t = {
-    aq : ring;
-    fq : ring;
-    data : Obj.t array;
-    cap : int;
-  }
-
-  let name = "broken-scq"
-
-  let free = Obj.repr (ref ())
-
-  let no_index = -1
-
-  let imask r = (1 lsl r.order) - 1
-  let safe_bit r = 1 lsl r.order
-
-  let pack r ~cycle ~safe ~idx =
-    (cycle lsl (r.order + 1)) lor (if safe then safe_bit r else 0) lor idx
-
-  let entry_cycle r e = e asr (r.order + 1)
-  let entry_idx r e = e land imask r
-  let entry_safe r e = e land safe_bit r <> 0
-
-  let threshold3 r = (1 lsl r.order) + (1 lsl (r.order - 1)) - 1
-
-  let make_ring ~order ~prefill =
-    let n2 = 1 lsl order in
-    let bottom = n2 - 1 in
-    let entries =
-      Array.init n2 (fun j ->
-          if j < prefill then
-            A.make ((1 lsl order) lor j)
-          else
-            A.make (((-1) lsl (order + 1)) lor (1 lsl order) lor bottom))
-    in
-    {
-      entries;
-      head = A.make_contended 0;
-      tail = A.make_contended prefill;
-      threshold =
-        A.make_contended (if prefill > 0 then n2 + (n2 / 2) - 1 else -1);
-      order;
-    }
-
-  let rec enq_ring r idx =
-    let t = A.fetch_and_add r.tail 1 in
-    let tcycle = t lsr r.order in
-    let j = t land imask r in
-    deposit r idx ~t ~tcycle ~j (A.get r.entries.(j))
-
-  and deposit r idx ~t ~tcycle ~j e =
-    if
-      (* the bug: no [entry_cycle r e < tcycle] conjunct *)
-      entry_idx r e = imask r
-      && (entry_safe r e || A.get r.head <= t)
-    then begin
-      if A.compare_and_set r.entries.(j) e (pack r ~cycle:tcycle ~safe:true ~idx)
-      then begin
-        let thr = threshold3 r in
-        if A.get r.threshold <> thr then A.set r.threshold thr
-      end
-      else begin
-        deposit r idx ~t ~tcycle ~j (A.get r.entries.(j))
-      end
-    end
-    else begin
-      enq_ring r idx
-    end
-
-  let rec catchup r ~tail ~head =
-    if not (A.compare_and_set r.tail tail head) then begin
-      let head = A.get r.head in
-      let tail = A.get r.tail in
-      if tail < head then catchup r ~tail ~head
-    end
-
-  let rec deq_ring r =
-    if A.get r.threshold < 0 then no_index
-    else begin
-      let h = A.fetch_and_add r.head 1 in
-      let hcycle = h lsr r.order in
-      let j = h land imask r in
-      consume r ~h ~hcycle ~j (A.get r.entries.(j))
-    end
-
-  and consume r ~h ~hcycle ~j e =
-    let ecycle = entry_cycle r e in
-    if ecycle = hcycle && entry_idx r e <> imask r then begin
-      if A.compare_and_set r.entries.(j) e (e lor imask r) then entry_idx r e
-      else begin
-        consume r ~h ~hcycle ~j (A.get r.entries.(j))
-      end
-    end
-    else begin
-      let advanced =
-        if ecycle < hcycle then begin
-          let desired =
-            if entry_idx r e = imask r then
-              pack r ~cycle:hcycle ~safe:(entry_safe r e) ~idx:(imask r)
-            else e land lnot (safe_bit r)
-          in
-          if desired = e then true
-          else if A.compare_and_set r.entries.(j) e desired then true
-          else begin
-            false
-          end
-        end
-        else true
-      in
-      if not advanced then
-        consume r ~h ~hcycle ~j (A.get r.entries.(j))
-      else begin
-        let t = A.get r.tail in
-        if t <= h + 1 then begin
-          catchup r ~tail:t ~head:(h + 1);
-          ignore (A.fetch_and_add r.threshold (-1));
-          no_index
-        end
-        else if A.fetch_and_add r.threshold (-1) <= 0 then no_index
-        else deq_ring r
-      end
-    end
-
-  let default_capacity = 1024
-
-  let create ?(capacity = default_capacity) () =
-    if capacity < 1 then
-      invalid_arg "Scq_queue.create: capacity must be >= 1";
-    let rec order_for k = if 1 lsl k >= capacity then k else order_for (k + 1) in
-    let cap_order = order_for 0 in
-    let cap = 1 lsl cap_order in
-    let order = cap_order + 1 in
-    {
-      aq = make_ring ~order ~prefill:0;
-      fq = make_ring ~order ~prefill:cap;
-      data = Array.make cap free;
-      cap;
-    }
-
-  let capacity t = t.cap
-
-  let try_enqueue t v =
-    let i = deq_ring t.fq in
-    let ok = i <> no_index in
-    if ok then begin
-      t.data.(i) <- Obj.repr v;
-      enq_ring t.aq i
-    end;
-    ok
-
-  let try_dequeue t =
-    let i = deq_ring t.aq in
-    let r =
-      if i = no_index then None
-      else begin
-        let v = t.data.(i) in
-        assert (v != free);
-        t.data.(i) <- free;
-        enq_ring t.fq i;
-        Some (Obj.obj v)
-      end
-    in
-    r
-
-  let length t =
-    min t.cap
-      (Array.fold_left
-         (fun acc e ->
-           if entry_idx t.aq (A.get e) <> imask t.aq then acc + 1 else acc)
-         0 t.aq.entries)
-
-  let is_empty t = length t = 0
-end
-
-module Broken_b = Broken_scq (Traced_atomic)
-
-let broken_bounded : (module BQUEUE) = (module Broken_b)
-
 let with_bounded_spec (module Q : BQUEUE) scenario { go } =
   let make () =
     Traced_atomic.reset_ids ();
@@ -595,14 +340,47 @@ let check_bounded ?(max_preemptions = 2) ?(max_steps = 10_000)
   with_bounded_spec q scenario
     { go = (fun s -> N.explore ~max_preemptions ~max_steps ~max_runs ~max_failures s) }
 
-let check_bounded_random ?(max_preemptions = 3) ?(max_steps = 10_000)
-    ?(runs = 1_000) ?(max_failures = 5) ~seed q scenario =
-  with_bounded_spec q scenario
-    { go = (fun s -> N.explore_random ~max_preemptions ~max_steps ~runs ~max_failures ~seed s) }
-
 let replay_bounded ?(max_steps = 10_000) q scenario schedule =
   with_bounded_spec q scenario
     { go = (fun s -> (N.run s ~schedule ~budget:0 ~max_steps).N.status) }
+
+(* ------------------------------------------------------------------ *)
+(* Mutants: shipping functors with one planted bug each, compiled from
+   their lib/core text by the mutant table in this directory's dune
+   file, so a mutant cannot drift from the queue it mutates. *)
+
+type subject =
+  | Unbounded of (module QUEUE) * scenario
+  | Bounded of (module BQUEUE) * bounded_scenario
+
+type mutant = { mname : string; mqueue : string; subject : subject }
+
+let broken : (module QUEUE) = (module Mutants.Ms_d12_store.Make (Traced_atomic))
+
+let broken_bounded : (module BQUEUE) =
+  (module Mutants.Scq_no_cycle_guard.Make (Traced_atomic))
+
+let mutants =
+  let unbounded mname mqueue q =
+    { mname; mqueue; subject = Unbounded (q, pairs ~procs:2 ~ops:1) }
+  in
+  [
+    unbounded "ms-d12-store" "ms" broken;
+    unbounded "ms-counted-d12-store" "ms-counted"
+      (module Mutants.Ms_counted_d12_store.Make (Traced_atomic));
+    unbounded "ms-hp-d12-store" "ms-hp"
+      (module Mutants.Ms_hp_d12_store.Make (Traced_atomic));
+    unbounded "two-lock-spin-store" "two-lock"
+      (module Mutants.Two_lock_spin_store.Make (Traced_atomic));
+    unbounded "segmented-poison-store" "segmented"
+      (module Mutants.Segmented_poison_store.Make (Traced_atomic));
+    {
+      mname = "scq-no-cycle-guard";
+      mqueue = "scq";
+      subject =
+        Bounded (broken_bounded, Option.get (find_bounded_scenario "b-empty-race"));
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* The battery and its planted-bug self-test, as [msq_check
@@ -652,11 +430,12 @@ let battery ?max_preemptions ?max_steps ?queue ?scenario () =
           (fun q b -> check_bounded ?max_preemptions ?max_steps q b))
 
 let self_test ?max_preemptions ?max_steps () =
-  let s = pairs ~procs:2 ~ops:1 in
-  let b = Option.get (find_bounded_scenario "b-empty-race") in
-  let ms = check ?max_preemptions ?max_steps broken s in
-  let scq = check_bounded ?max_preemptions ?max_steps broken_bounded b in
-  [
-    { queue = "broken-ms"; scenario = s.sname; outcome = ms };
-    { queue = "broken-scq"; scenario = b.bname; outcome = scq };
-  ]
+  List.map
+    (fun m ->
+      let scenario, outcome =
+        match m.subject with
+        | Unbounded (q, s) -> (s.sname, check ?max_preemptions ?max_steps q s)
+        | Bounded (q, b) -> (b.bname, check_bounded ?max_preemptions ?max_steps q b)
+      in
+      { queue = m.mname; scenario; outcome })
+    mutants

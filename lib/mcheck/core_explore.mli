@@ -58,15 +58,6 @@ val queues : (string * (module QUEUE)) list
 
 val find_queue : string -> (module QUEUE) option
 
-(** The planted bug (validation that the checker checks): Figure 1
-    with D12's Head compare_and_set replaced by a plain store, so two
-    racing dequeuers can both take the same node.  One preemption
-    suffices to expose it. *)
-module Broken_ms (_ : Core.Atomic_intf.ATOMIC) : QUEUE
-
-val broken : (module QUEUE)
-(** [Broken_ms] over {!Traced_atomic}. *)
-
 val check :
   ?max_preemptions:int ->
   ?max_steps:int ->
@@ -131,31 +122,11 @@ val bqueues : (string * (module BQUEUE)) list
 
 val find_bqueue : string -> (module BQUEUE) option
 
-(** The planted bug for the bounded self-test: SCQ with the cycle
-    comparison dropped from the ring-enqueue slot claim, so an
-    enqueuer overrun by a dequeuer deposits into a slot whose dequeue
-    ticket already passed and strands the value.  One preemption in
-    the [b-empty-race] scenario exposes it. *)
-module Broken_scq (_ : Core.Atomic_intf.ATOMIC) : BQUEUE
-
-val broken_bounded : (module BQUEUE)
-(** [Broken_scq] over {!Traced_atomic}. *)
-
 val check_bounded :
   ?max_preemptions:int ->
   ?max_steps:int ->
   ?max_runs:int ->
   ?max_failures:int ->
-  (module BQUEUE) ->
-  bounded_scenario ->
-  Explore.outcome
-
-val check_bounded_random :
-  ?max_preemptions:int ->
-  ?max_steps:int ->
-  ?runs:int ->
-  ?max_failures:int ->
-  seed:int64 ->
   (module BQUEUE) ->
   bounded_scenario ->
   Explore.outcome
@@ -166,6 +137,42 @@ val replay_bounded :
   bounded_scenario ->
   Explore.schedule ->
   [ `Completed | `Diverged | `Failed of Explore.failure ]
+
+(** {2 Mutants}
+
+    The checker checking itself, as the paper's §1 found Stone's races
+    by hand: each battery queue's shipping functor with one planted
+    bug, which its scenario must catch.  A mutant is not a copy: the
+    mutant table in [lib/mcheck/dune] names a [lib/core] source, an
+    exact text and its replacement, and a build rule
+    ([tools/specialize/mutate.exe]) compiles that source's lines above
+    its default instance with the text replaced.  A text that no
+    longer occurs exactly once there stops the build, naming the entry
+    and the file. *)
+
+type subject =
+  | Unbounded of (module QUEUE) * scenario
+  | Bounded of (module BQUEUE) * bounded_scenario
+
+type mutant = {
+  mname : string;  (** the table entry *)
+  mqueue : string;  (** the key it mutates in {!queues} or {!bqueues} *)
+  subject : subject;  (** its {!Traced_atomic} instance and scenario *)
+}
+
+val mutants : mutant list
+(** One entry per table entry, at least one per battery queue: D12's
+    Head CAS as a store in ms, ms-counted and ms-hp, the two-lock spin
+    lock's test-and-set as a store, segmented's poison CAS as a store
+    (each under ["pairs-2x1"]), and SCQ's cycle guard dropped from the
+    ring-enqueue slot claim (under ["b-empty-race"]). *)
+
+val broken : (module QUEUE)
+(** The ms mutant: two racing dequeuers both take the same node. *)
+
+val broken_bounded : (module BQUEUE)
+(** The scq mutant: an enqueuer overrun by a dequeuer deposits into a
+    slot whose dequeue ticket already passed, stranding the value. *)
 
 (** {2 The battery} *)
 
@@ -185,6 +192,6 @@ val battery :
     scenario and lists the known ones. *)
 
 val self_test : ?max_preemptions:int -> ?max_steps:int -> unit -> run list
-(** The planted bugs: {!broken} under ["pairs-2x1"] and
-    {!broken_bounded} under ["b-empty-race"].  Each outcome must carry a
-    failure, or the checker proves nothing. *)
+(** Every mutant under its scenario, one run each, its [queue] the
+    mutant's name.  Each outcome must carry a failure, or the checker
+    proves nothing. *)

@@ -2,8 +2,8 @@
    lib/core's ATOMIC functorization): Traced_atomic's primitives,
    Native_machine's stepping/trace contract, and Core_explore's
    exhaustive verdicts — the shipping queue functors are clean at small
-   scope, the planted broken variant is caught with a replayable
-   counterexample, and exploration is deterministic. *)
+   scope, every mutant is caught with a replayable counterexample, and
+   exploration is deterministic. *)
 
 open Mcheck
 
@@ -106,162 +106,35 @@ let bounded_clean sname () =
     (List.length o.Explore.failures)
 
 (* ------------------------------------------------------------------ *)
-(* The checker checks: the planted D12 bug is caught, and its
-   counterexample schedule replays to the same failure. *)
+(* The checker checks: every mutant is caught under its scenario, and
+   its first counterexample schedule replays to the same failure. *)
 
-let test_broken_caught_and_replayable () =
-  let s = Core_explore.pairs ~procs:2 ~ops:1 in
-  let o = Core_explore.check Core_explore.broken s in
+let mutant_caught (m : Core_explore.mutant) () =
+  let o, replay =
+    match m.subject with
+    | Unbounded (q, s) -> (Core_explore.check q s, Core_explore.replay q s)
+    | Bounded (q, b) -> (Core_explore.check_bounded q b, Core_explore.replay_bounded q b)
+  in
   Alcotest.(check bool) "planted bug caught" true (o.Explore.failures <> []);
   let f = List.hd o.Explore.failures in
-  Alcotest.(check bool) "conservation oracle fired" true
-    (String.length f.Explore.message > 0);
-  Alcotest.(check bool) "operation trace recorded" true
-    (f.Explore.trace <> []);
-  match Core_explore.replay Core_explore.broken s f.Explore.schedule with
+  Alcotest.(check bool) "oracle message non-empty" true (f.Explore.message <> "");
+  Alcotest.(check bool) "operation trace recorded" true (f.Explore.trace <> []);
+  match replay f.Explore.schedule with
   | `Failed f' ->
       Alcotest.(check string) "replay reproduces the failure"
         f.Explore.message f'.Explore.message
   | `Completed | `Diverged ->
       Alcotest.fail "counterexample schedule did not reproduce the failure"
 
-(* Same property for the bounded planted bug: SCQ without the cycle
-   comparison on the slot claim deposits into an already-overrun slot
-   and strands the value; one preemption in b-empty-race exposes it. *)
-let test_broken_scq_caught_and_replayable () =
-  let b = Option.get (Core_explore.find_bounded_scenario "b-empty-race") in
-  let o = Core_explore.check_bounded Core_explore.broken_bounded b in
-  Alcotest.(check bool) "planted bug caught" true (o.Explore.failures <> []);
-  let f = List.hd o.Explore.failures in
-  Alcotest.(check bool) "oracle message non-empty" true
-    (String.length f.Explore.message > 0);
-  Alcotest.(check bool) "operation trace recorded" true
-    (f.Explore.trace <> []);
-  match
-    Core_explore.replay_bounded Core_explore.broken_bounded b
-      f.Explore.schedule
-  with
-  | `Failed f' ->
-      Alcotest.(check string) "replay reproduces the failure"
-        f.Explore.message f'.Explore.message
-  | `Completed | `Diverged ->
-      Alcotest.fail "counterexample schedule did not reproduce the failure"
+let test_every_queue_mutated () =
+  List.iter
+    (fun key ->
+      if not (List.exists (fun m -> m.Core_explore.mqueue = key) Core_explore.mutants)
+      then Alcotest.failf "battery queue %s has no mutant" key)
+    (List.map fst Core_explore.queues @ List.map fst Core_explore.bqueues)
 
 (* The length oracle reads the bound: an SCQ whose [length] over-counts
    by one is caught in b-length, where one item is live. *)
-(* The planted SCQ must be the shipping one minus its bug: the body of
-   [Broken_scq] against [Core.Scq_queue.Make]'s, compared as code —
-   comments and blank lines dropped, probe marks and [name] skipped
-   (the copy may omit them) — with the guard conjunct
-   [entry_cycle r e < tcycle] deleted from the original.  An SCQ change
-   that skips the planted copy fails here. *)
-
-let strip_comments s =
-  let n = String.length s and b = Buffer.create (String.length s) in
-  let rec code i =
-    if i < n then
-      if s.[i] = '"' then begin
-        Buffer.add_char b '"';
-        str (i + 1)
-      end
-      else if i + 1 < n && s.[i] = '(' && s.[i + 1] = '*' then comment 1 (i + 2)
-      else begin
-        Buffer.add_char b s.[i];
-        code (i + 1)
-      end
-  and str i =
-    if i < n then begin
-      Buffer.add_char b s.[i];
-      if s.[i] = '\\' && i + 1 < n then begin
-        Buffer.add_char b s.[i + 1];
-        str (i + 2)
-      end
-      else if s.[i] = '"' then code (i + 1)
-      else str (i + 1)
-    end
-  and comment depth i =
-    if i < n then
-      if s.[i] = '\n' then begin
-        Buffer.add_char b '\n';
-        comment depth (i + 1)
-      end
-      else if i + 1 < n && s.[i] = '(' && s.[i + 1] = '*' then
-        comment (depth + 1) (i + 2)
-      else if i + 1 < n && s.[i] = '*' && s.[i + 1] = ')' then
-        if depth = 1 then code (i + 2) else comment (depth - 1) (i + 2)
-      else comment depth (i + 1)
-  in
-  code 0;
-  Buffer.contents b
-
-let rtrim l =
-  let k = ref (String.length l) in
-  while !k > 0 && (l.[!k - 1] = ' ' || l.[!k - 1] = '\t') do
-    decr k
-  done;
-  String.sub l 0 !k
-
-(* The code lines of the module opened by [header] in [file], up to its
-   column-0 [end]. *)
-let code_lines ~file ~header =
-  let rec after = function
-    | [] -> Alcotest.failf "%s: no line %S" file header
-    | l :: rest -> if l = header then rest else after rest
-  in
-  let rec upto acc = function
-    | [] -> Alcotest.failf "%s: %S has no closing end" file header
-    | "end" :: _ -> List.rev acc
-    | l :: rest -> upto (l :: acc) rest
-  in
-  let body = upto [] (after (String.split_on_char '\n' (Specialize.read_file file))) in
-  String.split_on_char '\n' (strip_comments (String.concat "\n" body))
-  |> List.map rtrim
-  |> List.filter (fun l ->
-         let t = String.trim l in
-         t <> ""
-         && (not (Specialize.contains t "Locks.Probe."))
-         && not (String.starts_with ~prefix:"let name =" t))
-
-let guard = "entry_cycle r e < tcycle"
-
-(* [lines] with the guard line deleted and the [&& ] that joined the
-   next conjunct to it dropped. *)
-let rec without_guard = function
-  | [] -> Alcotest.failf "Scq_queue.Make: no %S conjunct line" guard
-  | l :: next :: rest when String.trim l = guard ->
-      let t = String.trim next in
-      if not (String.starts_with ~prefix:"&& " t) then
-        Alcotest.failf "the line after the guard is not a conjunct: %S" next;
-      let indent = String.length next - String.length t in
-      (String.make indent ' ' ^ String.sub t 3 (String.length t - 3)) :: rest
-  | l :: rest -> l :: without_guard rest
-
-let test_planted_scq_tracks_scq () =
-  let shipped =
-    code_lines ~file:"../lib/core/scq_queue.ml"
-      ~header:"module Make (A : Atomic_intf.ATOMIC) = struct"
-    |> without_guard
-  in
-  let planted =
-    code_lines ~file:"../lib/mcheck/core_explore.ml"
-      ~header:"module Broken_scq (A : Core.Atomic_intf.ATOMIC) = struct"
-  in
-  let rec compare_from i a b =
-    match (a, b) with
-    | [], [] -> ()
-    | x :: a, y :: b ->
-        if x <> y then
-          Alcotest.failf
-            "Broken_scq drifted from Scq_queue.Make at code line %d:\n\
-             shipped: %s\n\
-             planted: %s"
-            i x y;
-        compare_from (i + 1) a b
-    | x :: _, [] -> Alcotest.failf "Broken_scq lacks code line %d: %s" i x
-    | [], y :: _ -> Alcotest.failf "Broken_scq has extra code line %d: %s" i y
-  in
-  compare_from 1 shipped planted
-
 let test_length_oracle_catches_overcount () =
   let module Q = (val Option.get (Core_explore.find_bqueue "scq")) in
   let module Over = struct
@@ -348,18 +221,20 @@ let suites =
     ("mcheck_native.two_lock", battery "two-lock");
     ("mcheck_native.segmented", battery "segmented");
     ( "mcheck_native.oracle",
-      [
-        Alcotest.test_case "planted D12 bug caught and replayable" `Quick
-          test_broken_caught_and_replayable;
-        Alcotest.test_case "planted SCQ cycle bug caught and replayable"
-          `Quick test_broken_scq_caught_and_replayable;
-        Alcotest.test_case "planted SCQ is the shipping body minus its guard"
-          `Quick test_planted_scq_tracks_scq;
-        Alcotest.test_case "exploration deterministic" `Quick
-          test_exploration_deterministic;
-        Alcotest.test_case "random mode deterministic" `Quick
-          test_random_deterministic;
-        Alcotest.test_case "length oracle catches an over-count" `Quick
-          test_length_oracle_catches_overcount;
-      ] );
+      List.map
+        (fun (m : Core_explore.mutant) ->
+          Alcotest.test_case
+            (Printf.sprintf "mutant %s caught and replayable" m.mname)
+            `Quick (mutant_caught m))
+        Core_explore.mutants
+      @ [
+          Alcotest.test_case "every battery queue has a mutant" `Quick
+            test_every_queue_mutated;
+          Alcotest.test_case "exploration deterministic" `Quick
+            test_exploration_deterministic;
+          Alcotest.test_case "random mode deterministic" `Quick
+            test_random_deterministic;
+          Alcotest.test_case "length oracle catches an over-count" `Quick
+            test_length_oracle_catches_overcount;
+        ] );
   ]

@@ -1,6 +1,7 @@
-(* The default instances are compiled from their functors' own text
-   (tools/specialize): the specializer on fixture files, and a guard that
-   the shipped native modules are the specialized copies rather than
+(* The default instances and the model checker's mutants are compiled
+   from their functors' own text (tools/specialize): the specializer and
+   the mutant generator on fixture files, and a guard that the shipped
+   native modules are the specialized copies rather than
    [Make (Stdlib_atomic)]. *)
 
 (* ------------------------------------------------------------------ *)
@@ -62,17 +63,17 @@ end
 include Make (Core.Atomic_intf.Stdlib_atomic)
 |}
 
-let test_passthrough () =
-  let src =
-    {|module Make (A : Atomic_intf.ATOMIC) = struct
+let no_marker =
+  {|module Make (A : Atomic_intf.ATOMIC) = struct
   let get = A.get
 end
 
 module Default = Make_lock (Ttas)
 |}
-  in
-  with_fixture src @@ fun path ->
-  Alcotest.(check string) "unchanged, byte for byte" src (specialize path)
+
+let test_passthrough () =
+  with_fixture no_marker @@ fun path ->
+  Alcotest.(check string) "unchanged, byte for byte" no_marker (specialize path)
 
 let test_plain_header () =
   with_fixture plain @@ fun path ->
@@ -205,18 +206,61 @@ let test_refusals () =
           if not (Specialize.contains msg path) then Alcotest.failf "%s: %S does not name the file" name msg)
     [ ("no one-line header", no_header); ("no closing end", no_end) ]
 
-(* The built tool, not just the library: a refused file exits non-zero
+(* A mutant of [plain]: its lines above the marker, [A.get] replaced by
+   [A.set] on the one line that has it, each line at its source line. *)
+let test_mutant_lines () =
+  with_fixture plain @@ fun path ->
+  let lines = Specialize.lines_of plain in
+  match Specialize.mutant ~name:"plain-set" ~file:path ~text:"A.get" ~by:"A.set" plain with
+  | Error msg -> Alcotest.failf "refused: %s" msg
+  | Ok out -> (
+      match mapped out with
+      | (_, "module Plain_set = struct open Core") :: rest -> (
+          match List.rev rest with
+          | (_, "end") :: body ->
+              Alcotest.(check int) "every line above the marker" 12 (List.length body);
+              List.iter
+                (fun (n, l) ->
+                  let source = lines.(n - 1) in
+                  let want = if n = 10 then "  let get = A.set" else source in
+                  if l <> want then Alcotest.failf "line mapped to %d: %S, want %S" n l want)
+                body
+          | _ -> Alcotest.failf "no closing end:\n%s" out)
+      | _ -> Alcotest.failf "no module header:\n%s" out)
+
+(* [after] occurs only below the marker, [Core.] twice on one line
+   above it. *)
+let mutant_refusals =
+  [
+    ("absent", plain, "A.fetch_and_add");
+    ("only below the marker", plain, "after");
+    ("twice", plain, "Core.");
+    ("no marker", no_marker, "A.get");
+  ]
+
+let test_mutant_refusals () =
+  List.iter
+    (fun (name, src, text) ->
+      with_fixture src @@ fun path ->
+      match Specialize.mutant ~name:"the-entry" ~file:path ~text ~by:"x" src with
+      | Ok _ -> Alcotest.failf "%s: accepted" name
+      | Error msg ->
+          if not (Specialize.contains msg "the-entry" && Specialize.contains msg path) then
+            Alcotest.failf "%s: %S does not name the entry and the file" name msg)
+    mutant_refusals
+
+(* The built tools, not just the library: a refused file exits non-zero
    and names itself on stderr, so the build stops. *)
-let pp_exe =
+let tool name =
   List.fold_left Filename.concat
     (Filename.dirname Sys.executable_name)
-    [ Filename.parent_dir_name; "tools"; "specialize"; "pp.exe" ]
+    [ Filename.parent_dir_name; "tools"; "specialize"; name ]
 
-let run_pp path =
+let run exe args =
   let err = Filename.temp_file "specialize" ".err" in
   let out_fd = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
   let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let pid = Unix.create_process pp_exe [| pp_exe; path |] Unix.stdin out_fd err_fd in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin out_fd err_fd in
   Unix.close out_fd;
   Unix.close err_fd;
   let _, status = Unix.waitpid [] pid in
@@ -225,18 +269,27 @@ let run_pp path =
   (status, msg)
 
 let test_tool_exit () =
+  let refused exe name src args =
+    with_fixture src @@ fun path ->
+    match run (tool exe) (args path) with
+    | Unix.WEXITED 0, _ -> Alcotest.failf "%s: %s exited 0" name exe
+    | Unix.WEXITED _, msg when Specialize.contains msg path -> ()
+    | _, msg -> Alcotest.failf "%s: %s said %S" name exe msg
+  in
   List.iter
-    (fun (name, src) ->
-      with_fixture src @@ fun path ->
-      match run_pp path with
-      | Unix.WEXITED 0, _ -> Alcotest.failf "%s: pp.exe exited 0" name
-      | Unix.WEXITED _, msg when Specialize.contains msg path -> ()
-      | _, msg -> Alcotest.failf "%s: pp.exe said %S" name msg)
+    (fun (name, src) -> refused "pp.exe" name src (fun path -> [ path ]))
     [ ("no one-line header", no_header); ("no closing end", no_end) ];
+  List.iter
+    (fun (name, src, text) ->
+      refused "mutate.exe" name src (fun path -> [ "the-entry"; path; text; "x" ]))
+    mutant_refusals;
   with_fixture plain @@ fun path ->
-  match run_pp path with
-  | Unix.WEXITED 0, _ -> ()
-  | _, msg -> Alcotest.failf "pp.exe refused a good file: %S" msg
+  List.iter
+    (fun (exe, args) ->
+      match run (tool exe) args with
+      | Unix.WEXITED 0, _ -> ()
+      | _, msg -> Alcotest.failf "%s refused a good file: %S" exe msg)
+    [ ("pp.exe", [ path ]); ("mutate.exe", [ "plain-set"; path; "A.get"; "A.set" ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* The shipped native modules are the specialized copies: same results
@@ -382,6 +435,8 @@ let suites =
         Alcotest.test_case "nested X.Make (A) rewrite" `Quick test_nested_rewrite;
         Alcotest.test_case "directives map lines" `Quick test_directives_map_lines;
         Alcotest.test_case "refusals name the file" `Quick test_refusals;
+        Alcotest.test_case "mutant lines map to the source" `Quick test_mutant_lines;
+        Alcotest.test_case "mutant refusals name entry and file" `Quick test_mutant_refusals;
         Alcotest.test_case "tool exits non-zero" `Quick test_tool_exit;
       ] );
     ( "specialize.native",

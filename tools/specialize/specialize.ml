@@ -160,4 +160,32 @@ let text ~file src =
   | Ok None -> Ok src
   | Ok (Some s) -> Ok (emit ~file lines s)
 
+(* A planted bug compiled from the shipping text, so the two cannot
+   drift: a text that no longer occurs once is a build error, not a
+   stale copy. *)
+let mutant ~name ~file ~text ~by src =
+  let lines = lines_of src and k = String.length text in
+  let refuse fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "mutant %s: %s" name m)) fmt in
+  match find ~file lines with
+  | Error msg -> refuse "%s" msg
+  | Ok None -> refuse "%s: no `include Make (...Stdlib_atomic)` line to copy above" file
+  | Ok (Some s) -> (
+      let hits n =
+        List.filter_map
+          (fun i -> if String.sub lines.(n) i k = text then Some (n, i) else None)
+          (List.init (max 0 (String.length lines.(n) - k + 1)) Fun.id)
+      in
+      match List.concat_map hits (List.init s.marker Fun.id) with
+      | [ (n, i) ] ->
+          let copy = Array.sub lines 0 s.marker and l = lines.(n) in
+          copy.(n) <- String.sub l 0 i ^ by ^ String.sub l (i + k) (String.length l - i - k);
+          let m = String.capitalize_ascii (String.map (function '-' -> '_' | c -> c) name) in
+          Ok
+            (String.concat "\n"
+               ((Printf.sprintf "module %s = struct open Core" m :: directive ~file 1 :: Array.to_list copy)
+               @ [ "end" ]))
+      | hits ->
+          refuse "%s: %S occurs %d times above the default instance at line %d, not exactly once"
+            file text (List.length hits) (s.marker + 1))
+
 let read_file path = In_channel.with_open_bin path In_channel.input_all

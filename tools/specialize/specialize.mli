@@ -27,6 +27,17 @@ val text : file:string -> string -> (string, string) result
     or closing [end] is not, or when there are two markers; the
     message starts with [file]. *)
 
+val mutant :
+  name:string -> file:string -> text:string -> by:string -> string -> (string, string) result
+(** [mutant ~name ~file ~text ~by src]: a planted bug (the generator
+    behind [lib/mcheck]'s mutant table).  [src]'s lines above its
+    marker, with the one occurrence of [text] there replaced by [by],
+    as [module Name = struct open Core ... end], where [Name] is [name]
+    capitalized with ['-'] as ['_'] and a [# 1 "file"] directive keeps
+    every line at its source line.  [Error], naming [name] and [file],
+    when [src] has no marker (or {!find} refuses it) or [text] occurs
+    there other than exactly once. *)
+
 val find : file:string -> string array -> (site option, string) result
 (** The marker and its functor in a file's lines, as {!text} finds them. *)
 
