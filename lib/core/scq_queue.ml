@@ -35,6 +35,12 @@
    minimal.  See EXPERIMENTS.md "Living under a memory budget" for the
    measured footprint. *)
 
+module type S = sig
+  include Queue_intf.BOUNDED
+
+  val maybe_nonempty : 'a t -> bool
+end
+
 (* Probe labels, bound outside [Make] so that every instance shares them. *)
 let l_ring_deposit = Locks.Probe.label "scq.ring.deposit"
 let l_ring_consume = Locks.Probe.label "scq.ring.consume"
@@ -155,6 +161,15 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       if tail < head then catchup r ~tail ~head
     end
 
+  (* The empty verdict from two loads, before any ticket is claimed:
+     [head] first, then [tail].  [head] only grows, so [tail <= h] at
+     the second load means every enqueue ticket handed out by then had
+     been met by a dequeue ticket: the ring was empty at that moment —
+     the test [consume] makes after burning a ticket, without the
+     burn.  Read the other way round, an enqueue and a dequeue between
+     the two loads make a ring that never emptied look empty. *)
+  let ring_empty r = let h = A.get r.head in A.get r.tail <= h
+
   let rec deq_ring r =
     if A.get r.threshold < 0 then no_index (* certainly empty *)
     else begin
@@ -265,6 +280,8 @@ module Make (A : Atomic_intf.ATOMIC) = struct
     in
     Locks.Probe.phase_end l_deq;
     r
+
+  let maybe_nonempty t = not (ring_empty t.aq)
 
   (* Exact at quiescence.  A racy fold is not a snapshot: one load per
      slot lets an index counted at one slot be dequeued, recycled

@@ -26,7 +26,15 @@
       [Fail_fast]/[Shed]/[Block_until] policy and an independent
       circuit breaker per shard — so one hot shard trips its breaker
       without darkening the others.  Dequeues share one fabric-level
-      engine whose attempt is a full sweep;
+      engine whose attempt is a full sweep.  On [Bounded] shards the
+      sweep claims a ticket only on a ring whose two-load empty test
+      ({!Core.Scq_queue.S.maybe_nonempty}) fails, so polling an empty
+      fabric writes no shared line and records no probe mark; and the
+      engine's retries wait for an arrival rather than a blind spin:
+      the fabric builds one hint at {!S.create}, true when any ring's
+      test fails, and the engine's backoff spin ends as soon as it
+      holds.  The dequeue wait ends early only on SCQ shards:
+      [Segmented] and [Elastic] shards give no hint and spin blind;
     - {b producer batching}: {!S.Producer} buffers per-producer pushes
       and flushes them as one {!S.enqueue_batch}, which routes the
       whole batch to a single shard — on segmented shards a single
@@ -110,6 +118,16 @@ module type S = sig
   val try_dequeue : 'a t -> ('a, error) result
   (** Sweep every shard once per attempt, starting from the dequeue
       splitter's next position, through the fabric-level policy engine.
+      On [Bounded] shards an attempt claims a ticket only on a shard
+      whose two-load test says it may hold an item, and the engine's
+      backoff spin between attempts stops as soon as any shard looks
+      non-empty, so a call that starts on an empty fabric returns the
+      next arrival soon after it lands.  The limits ([max_retries],
+      the deadline) are the blind spin's, but a wake whose attempt
+      finds nothing (the item's ticket taken and its deposit not yet
+      made, or another consumer first) still spends a retry: under the
+      deadline such a call can end [Shedded] where the blind spin
+      would have ended [Timed_out].
       An [Error] means every shard was observed empty on every attempt
       the policy allowed — a quiescent fabric reports emptiness
       exactly, but under concurrent enqueues the sweep is not a single

@@ -54,11 +54,16 @@ let create ?(initial = 16) ?(limit = 4096) () =
   if initial <= 0 || limit < initial then invalid_arg "Backoff.create";
   { initial; limit; bound = initial }
 
-let once t =
+(* [until] is tested before each relax, so a spin ends within one relax
+   of it holding.  A loop over a counter, not a local recursive
+   function, which would be a closure over [until] built at each
+   call. *)
+let once ?until t =
   Probe.backoff ();
-  let iterations = 1 + (draw jitter mod t.bound) in
-  for _ = 1 to iterations do
-    Domain.cpu_relax ()
+  let left = ref (1 + (draw jitter mod t.bound)) in
+  while !left > 0 && not (match until with Some ready -> ready () | None -> false) do
+    Domain.cpu_relax ();
+    decr left
   done;
   t.bound <- min t.limit (t.bound * 2)
 

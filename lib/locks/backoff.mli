@@ -25,8 +25,17 @@ val reseed : int64 -> unit
     global, like [Obs.Chaos.configure]; call it from harnesses that
     want the backoff jitter to be a pure function of the run seed. *)
 
-val once : t -> unit
-(** Spin once and double the bound (saturating). *)
+val once : ?until:(unit -> bool) -> t -> unit
+(** Spin once and double the bound (saturating).  With [until], the
+    spin tests the predicate before each relax and stops as soon as it
+    holds: the paper's test-and-test&set discipline, where a waiter
+    spins on a read until the state looks changed and only then
+    attempts.  The bound doubles either way, so the bound sequence is
+    the blind spin's and only the time spun differs: a caller that
+    limits its attempts by time makes more of them when the predicate
+    holds early.  Pass a stored option ([?until:hint]), not
+    [~until:f]: [~until:f] builds a [Some] at every call, and [once]
+    itself allocates nothing. *)
 
 val reset : t -> unit
 

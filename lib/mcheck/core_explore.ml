@@ -84,19 +84,24 @@ module T_scq = Core.Scq_queue.Make (Traced_atomic)
    capacity 4 covers the largest scenario's live-item count (enq-enq's
    four unanswered enqueues), so try_enqueue can never refuse and the
    unbounded FIFO spec applies unchanged.  The full/empty verdicts get
-   their own bounded battery below. *)
-module T_scq_unbounded = struct
-  type 'a t = 'a T_scq.t
+   their own bounded battery below.  Its dequeue is the fabric's
+   bounded-shard poll: the two-load test [maybe_nonempty], and a ticket
+   only when it passes, so the battery judges the test's empty answers
+   too.  A functor, so the test's mutant joins the same way. *)
+module Scq_unbounded (Q : Core.Scq_queue.S) = struct
+  type 'a t = 'a Q.t
 
   let name = "scq"
-  let create () = T_scq.create ~capacity:4 ()
+  let create () = Q.create ~capacity:4 ()
 
   let enqueue q v =
-    if not (T_scq.try_enqueue q v) then
+    if not (Q.try_enqueue q v) then
       failwith "scq refused an enqueue below capacity"
 
-  let dequeue = T_scq.try_dequeue
+  let dequeue q = if Q.maybe_nonempty q then Q.try_dequeue q else None
 end
+
+module T_scq_unbounded = Scq_unbounded (T_scq)
 
 let queues : (string * (module QUEUE)) list =
   [
@@ -380,6 +385,8 @@ let mutants =
       subject =
         Bounded (broken_bounded, Option.get (find_bounded_scenario "b-empty-race"));
     };
+    unbounded "scq-tail-before-head" "scq"
+      (module Scq_unbounded (Mutants.Scq_tail_before_head.Make (Traced_atomic)));
   ]
 
 (* ------------------------------------------------------------------ *)

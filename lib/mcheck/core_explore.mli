@@ -54,7 +54,9 @@ val queues : (string * (module QUEUE)) list
 (** Traced instantiations of the native queues: ms, ms-counted, ms-hp,
     two-lock, segmented, and the bounded scq behind an unbounded
     adapter (capacity 4, above any scenario's live-item count, so
-    [try_enqueue] cannot refuse and the FIFO spec applies). *)
+    [try_enqueue] cannot refuse and the FIFO spec applies) whose
+    dequeue is the fabric's bounded-shard poll: [maybe_nonempty], then
+    [try_dequeue] only if it reads [true]. *)
 
 val find_queue : string -> (module QUEUE) option
 
@@ -164,8 +166,12 @@ val mutants : mutant list
 (** One entry per table entry, at least one per battery queue: D12's
     Head CAS as a store in ms, ms-counted and ms-hp, the two-lock spin
     lock's test-and-set as a store, segmented's poison CAS as a store
-    (each under ["pairs-2x1"]), and SCQ's cycle guard dropped from the
-    ring-enqueue slot claim (under ["b-empty-race"]). *)
+    (each under ["pairs-2x1"]), SCQ's cycle guard dropped from the
+    ring-enqueue slot claim (under ["b-empty-race"]), and SCQ's
+    two-load empty test reading [tail] before [head] (under
+    ["pairs-2x1"], through the capacity-4 unbounded adapter, whose
+    dequeue polls through that test; the bounded battery calls
+    [try_dequeue] directly and never reaches it). *)
 
 val broken : (module QUEUE)
 (** The ms mutant: two racing dequeuers both take the same node. *)

@@ -87,6 +87,9 @@ let fresh_breaker () =
 
 type rt = {
   cfg : config;
+  deq_hint : (unit -> bool) option;
+      (* ends a dequeue retry's backoff spin early; stored as an
+         option so passing it on allocates nothing *)
   metrics : Obs.Metrics.t;
   c_timeouts : Obs.Counter.t;
   c_sheds : Obs.Counter.t;
@@ -97,9 +100,10 @@ type rt = {
   deq_br : breaker;
 }
 
-let fresh_rt cfg name =
+let fresh_rt ?deq_hint cfg name =
   {
     cfg;
+    deq_hint;
     metrics = Obs.Metrics.create name;
     c_timeouts = Obs.Counter.create ();
     c_sheds = Obs.Counter.create ();
@@ -220,8 +224,12 @@ let refuse rt br ~probing err =
       Locks.Probe.site l_reject);
   Error err
 
+(* [start + span], saturating at [max_int]: a budget near [max_int]
+   must mean "no limit", not wrap to a time already past. *)
+let ends_at start span = if span > max_int - start then max_int else start + span
+
 let deadline_of rt start =
-  if rt.cfg.deadline_ns <= 0 then max_int else start + rt.cfg.deadline_ns
+  if rt.cfg.deadline_ns <= 0 then max_int else ends_at start rt.cfg.deadline_ns
 
 type admission = Proceed | Probe | Deny
 
@@ -246,7 +254,7 @@ let admit rt br ~start ~deadline =
       else begin
         match rt.cfg.policy with
         | Block_until span ->
-            let limit = min deadline (start + span) in
+            let limit = min deadline (ends_at start span) in
             let rec wait () =
               if Atomic.get br.state = st_closed then Proceed
               else if cooled () then try_probe ()
@@ -263,9 +271,13 @@ let admit rt br ~start ~deadline =
 (* Slow path one: the attempt at hand has just refused.  Back off and
    retry until a success or a verdict, under a deadline (and a
    [Block_until] span) running from [start] — the operation's first
-   refusal, or its first wait at a breaker that was not closed. *)
+   refusal, or its first wait at a breaker that was not closed.  A
+   dequeue's spin ends early once the engine's hint holds; the limits
+   are the blind spin's, but a wake that refuses again spends a retry
+   sooner (see [Engine.create]). *)
 let retry rt br kind attempt ~timed ~t0 ~start ~probing =
   let deadline = deadline_of rt start in
+  let until = match kind with Deq -> rt.deq_hint | Enq -> None in
   let b =
     Locks.Backoff.create ~initial:rt.cfg.backoff_initial
       ~limit:rt.cfg.backoff_limit ()
@@ -277,10 +289,10 @@ let retry rt br kind attempt ~timed ~t0 ~start ~probing =
     | _ when now_ns () >= deadline -> refuse rt br ~probing Timed_out
     | Shed when rt.cfg.max_retries >= 0 && retries >= rt.cfg.max_retries ->
         refuse rt br ~probing Shedded
-    | Block_until span when now_ns () >= min deadline (start + span) ->
+    | Block_until span when now_ns () >= min deadline (ends_at start span) ->
         refuse rt br ~probing Timed_out
     | Shed | Block_until _ -> (
-        Locks.Backoff.once b;
+        Locks.Backoff.once ?until b;
         match attempt () with
         | Some r ->
             recover rt br;
@@ -351,7 +363,8 @@ let run : type r. rt -> breaker -> kind -> (unit -> r option) -> (r, error) resu
 module Engine = struct
   type t = rt
 
-  let create ?(config = default) ~name () = fresh_rt config name
+  let create ?(config = default) ?deq_hint ~name () =
+    fresh_rt ?deq_hint config name
   let config t = t.cfg
   let enqueue t attempt = run t t.enq_br Enq attempt
   let dequeue t attempt = run t t.deq_br Deq attempt

@@ -48,7 +48,9 @@ type policy =
   | Block_until of int
       (** keep retrying a refused op up to this many ns from its first
           refusal, or from its first wait at a breaker that is not
-          closed (capped by the deadline); on expiry,
+          closed (capped by the deadline; a span past [max_int] ns
+          from then saturates, so [Block_until max_int] blocks up to
+          the deadline); on expiry,
           [Error Timed_out].  [max_retries] does not apply — blocking
           is bounded by time, not attempts. *)
   | Shed
@@ -59,7 +61,8 @@ type config = {
   deadline_ns : int;
       (** per-operation monotonic budget, running from the first
           refusal (or the first wait at a breaker that is not closed);
-          [<= 0] means no deadline *)
+          [<= 0] means no deadline, and so does a budget that would
+          end past [max_int] ns *)
   max_retries : int;
       (** attempts after the first before a [Shed] verdict; [< 0] means
           unbounded (the deadline still applies) *)
@@ -109,7 +112,28 @@ val outcomes_json : outcomes -> Obs.Json.t
 module Engine : sig
   type t
 
-  val create : ?config:config -> name:string -> unit -> t
+  val create :
+    ?config:config -> ?deq_hint:(unit -> bool) -> name:string -> unit -> t
+  (** [deq_hint], when given, is a racy "may be non-empty" test of the
+      structure the dequeue attempts read, which {!dequeue}'s retries
+      pass to {!Locks.Backoff.once} as [until]: a backoff spin stops as
+      soon as the hint holds, and the next attempt runs at once.  It
+      must be cheap, read-only and allocation-free.  It should read
+      [true] whenever an attempt could succeed (a miss only leaves the
+      spin blind) and seldom otherwise.  The hint changes no limit:
+      [max_retries], the deadline, the [Block_until] span, breaker
+      thresholds and the enqueue direction are those of an engine
+      without it.  It does change which limit an operation meets
+      first: a wake whose attempt still refuses spends a retry with
+      less time spun, so under a deadline a hint that reads [true]
+      while attempts refuse spends [max_retries] sooner, and a
+      [Shedded] can come where the blind spin would have reached
+      [Timed_out] (and the breaker's consecutive refusals accrue
+      sooner).  A hint stuck at [true] turns the backoff into a busy
+      retry.  Without a deadline, verdicts and counts are the blind
+      spin's.  Without a hint (the default, and always for
+      {!Make_bounded}) the spin is blind. *)
+
   val config : t -> config
   val enqueue : t -> (unit -> 'r option) -> ('r, error) result
   val dequeue : t -> (unit -> 'r option) -> ('r, error) result

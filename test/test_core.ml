@@ -340,6 +340,19 @@ let test_two_lock_functor () =
   Alcotest.(check (option int)) "ticket-backed" (Some 7) (Two_lock_ticket.dequeue q);
   Alcotest.(check string) "name includes lock" "two-lock(mcs)" Two_lock_mcs.name
 
+(* SCQ's two-load empty test: a fresh and a drained queue read empty,
+   an enqueued one does not. *)
+let test_scq_hint () =
+  let q = Core.Scq_queue.create ~capacity:2 () in
+  Alcotest.(check bool) "fresh queue reads empty" false
+    (Core.Scq_queue.maybe_nonempty q);
+  Alcotest.(check bool) "enqueued" true (Core.Scq_queue.try_enqueue q 1);
+  Alcotest.(check bool) "true after an enqueue" true
+    (Core.Scq_queue.maybe_nonempty q);
+  Alcotest.(check (option int)) "dequeued" (Some 1) (Core.Scq_queue.try_dequeue q);
+  Alcotest.(check bool) "drained queue reads empty" false
+    (Core.Scq_queue.maybe_nonempty q)
+
 let suites =
   let sequential =
     List.map
@@ -381,4 +394,6 @@ let suites =
           test_segmented_batch_rim_race;
       ] );
     ("core.two_lock_functor", [ Alcotest.test_case "other locks" `Quick test_two_lock_functor ]);
+    ( "core.scq",
+      [ Alcotest.test_case "maybe_nonempty hint" `Quick test_scq_hint ] );
   ]

@@ -419,6 +419,68 @@ let test_fabric_batched_driver () =
   Alcotest.(check int) "all items moved" (2 * 2_000) m.total_items;
   Alcotest.(check bool) "throughput positive" true (m.items_per_second > 0.)
 
+(* ------------------------------------------------------------------ *)
+(* Polling bounded shards: two loads per empty ring, and the dequeue
+   engine wakes on an arrival *)
+
+let test_empty_sweep_records_nothing () =
+  let fab = F.create () in
+  Obs.Flight.enable ();
+  Fun.protect ~finally:Obs.Flight.disable (fun () ->
+      (* one item through first, so this domain's flight row exists *)
+      ignore (F.try_enqueue fab 0);
+      Alcotest.(check (option int)) "the item" (Some 0) (F.drain_one fab);
+      let r0 = Obs.Flight.recorded () in
+      Alcotest.(check (option int)) "empty" None (F.drain_one fab);
+      Alcotest.(check int) "an empty sweep records nothing" r0
+        (Obs.Flight.recorded ());
+      ignore (F.try_enqueue fab 1);
+      Alcotest.(check (option int)) "an item lands" (Some 1) (F.drain_one fab);
+      Alcotest.(check bool) "a claiming sweep records" true
+        (Obs.Flight.recorded () > r0))
+
+let test_dequeue_wakes_on_arrival () =
+  (* The default shards (8 bounded SCQ rings) with no deadline and no
+     span, so the one call waits for the value however late the
+     producer runs, and a backoff bound of 2^30 relaxes: a blind spin
+     lasts up to about half a minute, so only the shards' hint ends
+     it within seconds. *)
+  let fab =
+    F.create
+      ~config:
+        {
+          F.default_config with
+          resilience =
+            {
+              R.default with
+              R.deadline_ns = 0;
+              policy = R.Block_until max_int;
+              backoff_initial = 1 lsl 30;
+              backoff_limit = 1 lsl 30;
+            };
+        }
+      ()
+  in
+  let calling = Atomic.make false in
+  let consumer =
+    Domain.spawn (fun () ->
+        Atomic.set calling true;
+        F.try_dequeue fab)
+  in
+  while not (Atomic.get calling) do
+    Domain.cpu_relax ()
+  done;
+  let t0 = Unix.gettimeofday () in
+  (match F.try_enqueue fab 42 with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "enqueue into an empty fabric refused");
+  (match Domain.join consumer with
+  | Ok v -> Alcotest.(check int) "the enqueued value, in one call" 42 v
+  | Error e -> Alcotest.failf "the dequeue gave up: %s" (R.error_to_string e));
+  let waited = Unix.gettimeofday () -. t0 in
+  if waited > 5. then
+    Alcotest.failf "the dequeue returned %.1f s after the enqueue" waited
+
 let suites =
   [
     ( "fabric",
@@ -451,6 +513,10 @@ let suites =
           test_sim_scaling_and_disjoint;
         Alcotest.test_case "writers_disjoint detects overlap" `Quick
           test_writers_disjoint_detects_overlap;
+        Alcotest.test_case "an empty sweep records nothing" `Quick
+          test_empty_sweep_records_nothing;
+        Alcotest.test_case "dequeue wakes on an arrival" `Quick
+          test_dequeue_wakes_on_arrival;
         Alcotest.test_case "fabric batched driver" `Quick
           test_fabric_batched_driver;
       ] );

@@ -95,16 +95,40 @@ let test_backoff_bounds () =
   Alcotest.(check pass) "bounded backoff terminates" () ()
 
 let test_backoff_allocates_nothing () =
-  let b = Locks.Backoff.create ~initial:1 ~limit:1 () in
-  Locks.Backoff.once b;
-  let n = 10_000 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to n do
-    Locks.Backoff.once b
-  done;
-  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
-  if per_call >= 0.01 then
-    Alcotest.failf "Backoff.once allocates %.2f minor words per call" per_call
+  let until = Some (fun () -> false) in
+  List.iter
+    (fun (call, once) ->
+      let b = Locks.Backoff.create ~initial:1 ~limit:1 () in
+      once b;
+      let n = 10_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        once b
+      done;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+      if per_call >= 0.01 then
+        Alcotest.failf "%s allocates %.2f minor words per call" call per_call)
+    [
+      ("Backoff.once", fun b -> Locks.Backoff.once b);
+      ("Backoff.once ?until", fun b -> Locks.Backoff.once ?until b);
+    ]
+
+(* [until] is tested before each relax: a spin whose predicate holds
+   on entry tests it once, and one whose predicate holds from its third
+   test stops there, long before its bound of 2^16 relaxes runs out. *)
+let test_backoff_until () =
+  let spin_until k =
+    let b = Locks.Backoff.create ~initial:(1 lsl 16) ~limit:(1 lsl 16) () in
+    let tests = ref 0 in
+    Locks.Backoff.once b ~until:(fun () ->
+        incr tests;
+        !tests >= k);
+    !tests
+  in
+  Alcotest.(check int) "holds on entry: tested once" 1 (spin_until 1);
+  (* a draw below 3 relaxes (odds 3 in 65,536) stops the spin sooner *)
+  Alcotest.(check bool) "stops at the first test that holds" true
+    (spin_until 3 <= 3)
 
 (* The SplitMix64 draws behind the backoff jitter, the chaos delays and
    the open-loop schedule, pinned to the values these generators
@@ -404,6 +428,8 @@ let suites =
         Alcotest.test_case "backoff bounds" `Quick test_backoff_bounds;
         Alcotest.test_case "backoff allocates nothing" `Quick
           test_backoff_allocates_nothing;
+        Alcotest.test_case "backoff until ends the spin" `Quick
+          test_backoff_until;
         Alcotest.test_case "splitmix draws pinned" `Quick test_splitmix_pinned;
         Alcotest.test_case "backoff invalid" `Quick test_backoff_invalid;
       ] );

@@ -364,6 +364,113 @@ let test_bounded_full_path () =
     | Error _ -> Alcotest.fail "dequeue of a full queue refused"
   done
 
+(* ------------------------------------------------------------------ *)
+(* Budgets near [max_int] saturate instead of wrapping into the past *)
+
+let test_deadline_max_int () =
+  (* a deadline past [max_int] ns is no deadline: the retry budget
+     decides, as with [deadline_ns = 0] *)
+  let t =
+    RB.create
+      ~config:
+        { R.default with R.deadline_ns = max_int; backoff_initial = 1; backoff_limit = 1 }
+      ()
+  in
+  (match RB.try_dequeue t with
+  | Error R.Shedded -> ()
+  | Ok _ -> Alcotest.fail "an empty queue dequeued"
+  | Error e ->
+      Alcotest.failf "expected a shed after the retry budget, got %s"
+        (R.error_to_string e));
+  Alcotest.(check int) "no timeout" 0 (RB.outcomes t).R.timeouts
+
+let test_block_until_max_int () =
+  (* [Block_until max_int] blocks up to the deadline, not at all *)
+  let t =
+    RB.create ~config:{ R.default with R.policy = R.Block_until max_int } ()
+  in
+  let t0 = Unix.gettimeofday () in
+  (match RB.try_dequeue t with
+  | Error R.Timed_out -> ()
+  | Ok _ -> Alcotest.fail "an empty queue dequeued"
+  | Error e -> Alcotest.failf "expected a timeout, got %s" (R.error_to_string e));
+  Alcotest.(check bool) "blocked until the 1 ms deadline" true
+    (Unix.gettimeofday () -. t0 >= 0.001)
+
+(* ------------------------------------------------------------------ *)
+(* A dequeue hint keeps every limit, and without a deadline every
+   verdict and count; under a deadline it can change which limit an
+   operation meets first *)
+
+let test_deq_hint_same_verdicts () =
+  (* no deadline, so the retry budget decides; a long cooldown, so the
+     ops after the trip are rejected whatever their timing *)
+  let config =
+    { R.default with R.deadline_ns = 0; breaker_cooldown_ns = 1_000_000_000 }
+  in
+  let tests = ref 0 in
+  let hinted =
+    R.Engine.create ~config
+      ~deq_hint:(fun () ->
+        incr tests;
+        true)
+      ~name:"hinted" ()
+  in
+  let blind = R.Engine.create ~config ~name:"blind" () in
+  let empty () = None in
+  let verdicts e =
+    Obs.Control.with_enabled (fun () ->
+        List.init 3 (fun _ ->
+            match R.Engine.dequeue e empty with
+            | Ok () -> "ok"
+            | Error err -> R.error_to_string err))
+  in
+  let v_hinted = verdicts hinted and v_blind = verdicts blind in
+  Alcotest.(check (list string)) "blind verdicts"
+    [ "shedded"; "rejected"; "rejected" ] v_blind;
+  Alcotest.(check (list string)) "same verdicts" v_blind v_hinted;
+  Alcotest.(check bool) "the hint was tested" true (!tests > 0);
+  let counts e =
+    let o = R.Engine.outcomes e in
+    [
+      Obs.Counter.value (R.Engine.metrics e).Obs.Metrics.empty_dequeues;
+      o.R.sheds;
+      o.R.rejections;
+      o.R.timeouts;
+      o.R.breaker_trips;
+    ]
+  in
+  Alcotest.(check (list int)) "same refusal and trip counts" (counts blind)
+    (counts hinted);
+  (* the enqueue direction never tests it *)
+  let before = !tests in
+  ignore (R.Engine.enqueue hinted empty);
+  Alcotest.(check int) "enqueues spin blind" before !tests
+
+let test_deq_hint_deadline () =
+  (* A backoff bound of 2^22 relaxes: the blind spin's 64 retries
+     outlast a 50 ms deadline on any host (on average two spins do),
+     while a hint that always reads [true] on an always-empty attempt
+     spends the 64 retries at once. *)
+  let config =
+    {
+      R.default with
+      R.deadline_ns = 50_000_000;
+      backoff_initial = 1 lsl 22;
+      backoff_limit = 1 lsl 22;
+    }
+  in
+  let verdict e =
+    match R.Engine.dequeue e (fun () -> None) with
+    | Ok () -> "ok"
+    | Error err -> R.error_to_string err
+  in
+  Alcotest.(check string) "blind: the deadline first" "timed_out"
+    (verdict (R.Engine.create ~config ~name:"blind" ()));
+  Alcotest.(check string) "hinted: the retry budget first" "shedded"
+    (verdict
+       (R.Engine.create ~config ~deq_hint:(fun () -> true) ~name:"hinted" ()))
+
 let test_to_json () =
   let t = RQ.create ~config:quick () in
   enq t 1;
@@ -451,6 +558,14 @@ let suites =
         Alcotest.test_case "breaker directions independent" `Quick
           test_breaker_directions_independent;
         Alcotest.test_case "bounded full path" `Quick test_bounded_full_path;
+        Alcotest.test_case "deadline of max_int saturates" `Quick
+          test_deadline_max_int;
+        Alcotest.test_case "block-until max_int saturates" `Quick
+          test_block_until_max_int;
+        Alcotest.test_case "dequeue hint without a deadline keeps verdicts"
+          `Quick test_deq_hint_same_verdicts;
+        Alcotest.test_case "dequeue hint under a deadline sheds sooner" `Quick
+          test_deq_hint_deadline;
         Alcotest.test_case "to_json round-trip" `Quick test_to_json;
         QCheck_alcotest.to_alcotest prop_wrapper_fifo;
         QCheck_alcotest.to_alcotest prop_wrapper_conservation_chaos;
