@@ -4,8 +4,7 @@
    - the Section 1 Valois memory-exhaustion experiment;
    - the delay-injection liveness experiment behind Section 3.3;
    - ablations over the design choices DESIGN.md calls out (backoff,
-     counted pointers vs GC nodes, free list vs allocation);
-   - bechamel microbenchmarks of the native OCaml 5 queues.
+     counted pointers vs GC nodes, free list vs allocation).
 
    Scale via MSQ_PAIRS (default 20000; the paper used 1e6 — pass
    MSQ_PAIRS=1000000 MSQ_QUANTUM=2000000 for paper scale).  MSQ_JSON=FILE
@@ -244,55 +243,6 @@ let workload_variants () =
       Format.printf "  %a@." Harness.Workload_variants.pp_measurement
         (Harness.Workload_variants.burst algo ()))
     Harness.Registry.all
-
-(* Bechamel microbenchmarks: single-domain cost of an enqueue/dequeue
-   pair on the native queues — includes the counted-pointer/free-list
-   variant vs the GC variant (an allocation-strategy ablation). *)
-let microbench () =
-  heading "Native microbenchmarks (single domain, ns per enqueue/dequeue pair)";
-  let open Bechamel in
-  let open Toolkit in
-  let pair (module Q : Core.Queue_intf.BOUNDED) =
-    Test.make ~name:Q.name
-      (Staged.stage
-         (let q = Q.create () in
-          fun () ->
-            ignore (Q.try_enqueue q 42);
-            ignore (Q.try_dequeue q)))
-  in
-  let tests =
-    Test.make_grouped ~name:"pair"
-      (List.map
-         (fun { Harness.Registry.queue; _ } -> pair queue)
-         Harness.Registry.native
-      @ [
-        Test.make ~name:"spsc-lamport"
-          (Staged.stage
-             (let q = Core.Spsc_queue.create ~capacity:64 in
-              fun () ->
-                ignore (Core.Spsc_queue.push q 42);
-                ignore (Core.Spsc_queue.pop q)));
-        Test.make ~name:"treiber-push-pop"
-          (Staged.stage
-             (let s = Core.Treiber_stack.create () in
-              fun () ->
-                Core.Treiber_stack.push s 42;
-                ignore (Core.Treiber_stack.pop s)));
-        ])
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, ols) ->
-         match Analyze.OLS.estimates ols with
-         | Some (ns :: _) -> Format.printf "  %-32s %8.1f ns/pair@." name ns
-         | Some [] | None -> Format.printf "  %-32s (no estimate)@." name)
 
 (* Native batched workload: throughput vs batch size, every domain
    hammering one queue with no think time (the highest-contention
@@ -637,8 +587,7 @@ let () =
     two_lock_lock_ablation ();
     spsc_ablation ();
     workload_variants ();
-    work_sweep ();
-    microbench ()
+    work_sweep ()
   end;
   let robustness = robustness () in
   let batched = batched_sweep () in

@@ -1,56 +1,31 @@
 (* Sharded MPMC fabric.  See the .mli for the architecture; the code
-   below is deliberately thin — all the hard concurrency lives in the
-   shard primitives (Scq_queue, Segmented_queue) and the policy engine
-   (Resilient.Engine).  The one novel protocol here is Elastic's
-   close-and-append ring chain; its safety argument is spelled out
-   inline. *)
+   below is deliberately thin and has no protocol of its own — all the
+   hard concurrency lives in the shard primitives (Scq_queue,
+   Segmented_queue) and the policy engine (Resilient.Engine). *)
 
 module R = Resilience.Resilient
 
-type shard_kind = Bounded | Elastic | Segmented
+type shard_kind = Bounded | Segmented
 
 type config = {
   shards : int;
   shard_capacity : int;
   kind : shard_kind;
-  batch : int;
   resilience : R.config;
 }
 
 let default_config =
-  {
-    shards = 8;
-    shard_capacity = 1024;
-    kind = Bounded;
-    batch = 16;
-    resilience = R.default;
-  }
+  { shards = 8; shard_capacity = 1024; kind = Bounded; resilience = R.default }
 
-let kind_to_string = function
-  | Bounded -> "bounded"
-  | Elastic -> "elastic"
-  | Segmented -> "segmented"
+let kind_to_string = function Bounded -> "bounded" | Segmented -> "segmented"
 
 type error = R.error
 
 module type S = sig
   type 'a t
 
-  module Elastic : sig
-    type 'a q
-
-    val create : ring_capacity:int -> unit -> 'a q
-    val enqueue : 'a q -> 'a -> unit
-    val dequeue : 'a q -> 'a option
-    val length : 'a q -> int
-    val is_empty : 'a q -> bool
-    val rings : 'a q -> int
-  end
-
   val name : string
   val create : ?config:config -> unit -> 'a t
-  val config : 'a t -> config
-  val shard_count : 'a t -> int
   val try_enqueue : ?key:int -> 'a t -> 'a -> (unit, error) result
   val try_dequeue : 'a t -> ('a, error) result
   val enqueue_batch : ?key:int -> 'a t -> 'a list -> 'a list
@@ -59,21 +34,7 @@ module type S = sig
   val peek_any : 'a t -> 'a option
   val length : 'a t -> int
   val is_empty : 'a t -> bool
-  val shard_lengths : 'a t -> int array
-
-  module Producer : sig
-    type 'a handle
-
-    val create : ?key:int -> ?batch:int -> 'a t -> 'a handle
-    val push : 'a handle -> 'a -> 'a list
-    val flush : 'a handle -> 'a list
-    val pending : 'a handle -> int
-  end
-
-  val shard_outcomes : 'a t -> R.outcomes array
   val outcomes : 'a t -> R.outcomes
-  val enq_breaker_states : 'a t -> R.breaker_state array
-  val dequeue_metrics : 'a t -> Obs.Metrics.t
   val register_telemetry : ?prefix:string -> 'a t -> unit
   val to_json : 'a t -> Obs.Json.t
 end
@@ -83,135 +44,11 @@ module Make (A : Core.Atomic_intf.ATOMIC) : S = struct
   module Seg = Core.Segmented_queue.Make (A)
 
   (* ---------------------------------------------------------------- *)
-  (* Elastic: an unbounded chain of bounded SCQ rings (LSCQ-style
-     queue-of-queues).  Enqueuers deposit into the tail ring; when it
-     is full they CLOSE it (a one-way flag), append a fresh ring with a
-     helping CAS, and retry there.  Dequeuers drain the head ring and
-     retire it once it is closed, quiesced and empty.
-
-     The [inflight] counter makes retirement safe: an enqueuer
-     increments it BEFORE reading [closed] and decrements it only after
-     its deposit attempt resolved.  Under OCaml's sequentially
-     consistent atomics, a dequeuer that observes [closed = true] and
-     then [inflight = 0] knows every enqueuer that read [closed =
-     false] has finished — any later arrival must observe [closed =
-     true] and move on — so an emptiness check AFTER that observation
-     is permanent, and advancing head past the ring cannot strand a
-     value. *)
-  module Elastic = struct
-    type 'a node = {
-      ring : 'a Scq.t;
-      closed : bool A.t;
-      inflight : int A.t;
-      next : 'a node option A.t;
-    }
-
-    type 'a q = {
-      head : 'a node A.t;
-      tail : 'a node A.t;
-      ring_capacity : int;
-    }
-
-    let fresh_node cap =
-      {
-        ring = Scq.create ~capacity:cap ();
-        closed = A.make false;
-        inflight = A.make_contended 0;
-        next = A.make None;
-      }
-
-    let create ~ring_capacity () =
-      let cap = max 1 ring_capacity in
-      let n = fresh_node cap in
-      { head = A.make_contended n; tail = A.make_contended n; ring_capacity = cap }
-
-    let advance_tail q n nxt = ignore (A.compare_and_set q.tail n nxt)
-
-    (* Ensure [n] has a successor and the tail points past [n]; any
-       number of enqueuers may help, exactly one append CAS wins. *)
-    let rec grow q n =
-      match A.get n.next with
-      | Some nxt -> advance_tail q n nxt
-      | None ->
-          let fresh = fresh_node q.ring_capacity in
-          if A.compare_and_set n.next None (Some fresh) then
-            advance_tail q n fresh
-          else grow q n
-
-    let rec enqueue q v =
-      let n = A.get q.tail in
-      match A.get n.next with
-      | Some nxt ->
-          (* stale tail: help it along, as in the MS queue's E12 *)
-          advance_tail q n nxt;
-          enqueue q v
-      | None ->
-          ignore (A.fetch_and_add n.inflight 1);
-          if A.get n.closed then begin
-            ignore (A.fetch_and_add n.inflight (-1));
-            grow q n;
-            enqueue q v
-          end
-          else if Scq.try_enqueue n.ring v then
-            ignore (A.fetch_and_add n.inflight (-1))
-          else begin
-            (* full: close this ring for good and move the chain on *)
-            ignore (A.fetch_and_add n.inflight (-1));
-            A.set n.closed true;
-            grow q n;
-            enqueue q v
-          end
-
-    let rec deq_node q n =
-      match Scq.try_dequeue n.ring with
-      | Some _ as r -> r
-      | None -> (
-          if not (A.get n.closed) then
-            (* open ring observed empty: the chain holds nothing past
-               an open ring, so the queue was empty at that point *)
-            None
-          else
-            match A.get n.next with
-            | None ->
-                (* closed and last: [next] transitions None -> Some
-                   exactly once, so nothing existed beyond this ring
-                   when the (earlier) emptiness verdict was read *)
-                None
-            | Some nxt ->
-                if A.get n.inflight = 0 then
-                  (* quiesced (see the module comment): one more
-                     emptiness check is now permanent *)
-                  match Scq.try_dequeue n.ring with
-                  | Some _ as r -> r
-                  | None ->
-                      ignore (A.compare_and_set q.head n nxt);
-                      deq_node q nxt
-                else
-                  (* in-flight enqueuers may still deposit here; their
-                     ops overlap ours, so skipping ahead is
-                     linearizable — but the ring must not be retired *)
-                  deq_node q nxt)
-
-    let dequeue q = deq_node q (A.get q.head)
-
-    let fold_nodes q f acc =
-      let rec go acc n =
-        let acc = f acc n in
-        match A.get n.next with None -> acc | Some nxt -> go acc nxt
-      in
-      go acc (A.get q.head)
-
-    let length q = fold_nodes q (fun acc n -> acc + Scq.length n.ring) 0
-    let is_empty q = length q = 0
-    let rings q = fold_nodes q (fun acc _ -> acc + 1) 0
-  end
-
-  (* ---------------------------------------------------------------- *)
   (* Shards: one closure record per shard so the hot paths are a single
      indirect call, whatever the kind.  [s_enqueue_batch_total] is the
-     batch path that cannot refuse (segmented range claims, elastic
-     growth); [None] for bounded shards, which go element-by-element
-     through the policy engine instead. *)
+     batch path that cannot refuse (segmented range claims); [None] for
+     bounded shards, which go element-by-element through the policy
+     engine instead. *)
 
   type 'a shard = {
     s_try_enqueue : 'a -> bool;
@@ -259,25 +96,13 @@ module Make (A : Core.Atomic_intf.ATOMIC) : S = struct
       s_peek = (fun () -> None);
     }
 
-  let elastic_shard cfg =
-    let q = Elastic.create ~ring_capacity:cfg.shard_capacity () in
-    {
-      s_try_enqueue = (fun v -> Elastic.enqueue q v; true);
-      s_try_dequeue = (fun () -> Elastic.dequeue q);
-      s_enqueue_batch_total = Some (fun vs -> List.iter (Elastic.enqueue q) vs);
-      s_dequeue_batch = (fun ~max -> collect (fun () -> Elastic.dequeue q) max);
-      s_length = (fun () -> Elastic.length q);
-      s_peek = (fun () -> None);
-    }
-
   (* Whether any ring's two-load empty test fails: a direct loop, so a
      test allocates nothing. *)
   let rec any_nonempty qs k =
     k < Array.length qs && (Scq.maybe_nonempty qs.(k) || any_nonempty qs (k + 1))
 
-  (* The shards, and the dequeue engine's hint, built once: only SCQ
-     rings answer empty from two loads, so Segmented and Elastic shards
-     give none and their dequeue retries spin blind. *)
+  (* The shards, and the dequeue engine's hint, built once.  Segmented
+     shards give no hint, so their dequeue retries spin blind. *)
   let make_shards cfg =
     match cfg.kind with
     | Bounded ->
@@ -286,7 +111,6 @@ module Make (A : Core.Atomic_intf.ATOMIC) : S = struct
         in
         (Array.map bounded_shard qs, Some (fun () -> any_nonempty qs 0))
     | Segmented -> (Array.init cfg.shards (fun _ -> segmented_shard ()), None)
-    | Elastic -> (Array.init cfg.shards (fun _ -> elastic_shard cfg), None)
 
   type 'a t = {
     cfg : config;
@@ -299,6 +123,10 @@ module Make (A : Core.Atomic_intf.ATOMIC) : S = struct
 
   let name = "fabric"
 
+  (* The dequeue engine runs without a breaker: both shard kinds answer
+     an empty poll from loads alone (SCQ's two-load test, Segmented's
+     [deq >= enq]), so a breaker would protect nothing and only turn an
+     idle consumer's next polls into [Rejected] for a cooldown. *)
   let create ?(config = default_config) () =
     if config.shards < 1 then
       invalid_arg "Queue_fabric.create: shards must be >= 1";
@@ -311,13 +139,12 @@ module Make (A : Core.Atomic_intf.ATOMIC) : S = struct
             R.Engine.create ~config:config.resilience
               ~name:(Printf.sprintf "fabric.shard%d" i) ());
       deq_eng =
-        R.Engine.create ~config:config.resilience ?deq_hint ~name:"fabric.deq" ();
+        R.Engine.create
+          ~config:{ config.resilience with breaker_threshold = 0 }
+          ?deq_hint ~name:"fabric.deq" ();
       split_enq = A.make_contended 0;
       split_deq = A.make_contended 0;
     }
-
-  let config t = t.cfg
-  let shard_count t = Array.length t.shards
 
   let route t = function
     | Some key -> (key land max_int) mod Array.length t.shards
@@ -406,40 +233,6 @@ module Make (A : Core.Atomic_intf.ATOMIC) : S = struct
   let length t = Array.fold_left (fun acc s -> acc + s.s_length ()) 0 t.shards
   let is_empty t = Array.for_all (fun s -> s.s_length () = 0) t.shards
 
-  module Producer = struct
-    type 'a handle = {
-      fab : 'a t;
-      key : int option;
-      batch : int;
-      mutable buf : 'a list;  (* newest first *)
-      mutable n : int;
-    }
-
-    let create ?key ?batch fab =
-      let batch =
-        match batch with Some b -> max 1 b | None -> max 1 fab.cfg.batch
-      in
-      { fab; key; batch; buf = []; n = 0 }
-
-    let pending h = h.n
-
-    let flush h =
-      match h.buf with
-      | [] -> []
-      | buf ->
-          let vs = List.rev buf in
-          h.buf <- [];
-          h.n <- 0;
-          enqueue_batch ?key:h.key h.fab vs
-
-    let push h v =
-      h.buf <- v :: h.buf;
-      h.n <- h.n + 1;
-      if h.n >= h.batch then flush h else []
-  end
-
-  let shard_outcomes t = Array.map R.Engine.outcomes t.engines
-
   let add_outcomes (a : R.outcomes) (b : R.outcomes) =
     R.
       {
@@ -455,11 +248,6 @@ module Make (A : Core.Atomic_intf.ATOMIC) : S = struct
       (fun acc e -> add_outcomes acc (R.Engine.outcomes e))
       (R.Engine.outcomes t.deq_eng)
       t.engines
-
-  let enq_breaker_states t =
-    Array.map (fun e -> R.Engine.breaker_state e `Enq) t.engines
-
-  let dequeue_metrics t = R.Engine.metrics t.deq_eng
 
   (* Per-shard depth and breaker-state gauges (Closed=0, Half_open=1,
      Open=2) plus the dequeue engine's metrics, all under [prefix] so
@@ -513,7 +301,6 @@ let adapter_config =
     default_config with
     shards = 4;
     kind = Segmented;
-    batch = 1;
     resilience =
       { R.default with policy = R.Fail_fast; breaker_threshold = 0 };
   }

@@ -5,15 +5,14 @@
     by the simulator heatmaps).  The fabric composes [N] independent
     shards behind two fetch-and-add splitters so that, under keyed
     routing, producers touch disjoint lines and aggregate throughput
-    scales with the shard count:
+    scales with the shard count.  It has no concurrent protocol of its
+    own: every shared-memory step is a shard primitive's, a splitter's
+    fetch-and-add, or the policy engine's.
 
-    - {b shards} are any of the repository's primitives: bounded
-      {!Core.Scq_queue} rings (whose [try_enqueue] refusal is the
-      backpressure signal), unbounded {!Core.Segmented_queue}s (whose
-      one-FAA batch range claims the producer batching composes), or
-      {e elastic} chains of SCQ rings ({!S.Elastic}, a queue-of-queues
-      in the LSCQ style: full rings are closed and a fresh ring is
-      appended, so capacity grows by whole rings);
+    - {b shards} are bounded {!Core.Scq_queue} rings (whose
+      [try_enqueue] refusal is the backpressure signal) or unbounded
+      {!Core.Segmented_queue}s (whose batch enqueue claims its whole
+      index range with one fetch-and-add);
     - {b routing}: [?key] pins an operation's shard ([key mod shards] —
       per-key FIFO holds because one key always lands in one shard);
       without a key a fetch-and-add splitter round-robins.  Dequeues
@@ -23,10 +22,13 @@
       spec (project onto one key to check it; see {!Single_key});
     - {b backpressure}: every shard's enqueue side runs through its own
       {!Resilience.Resilient.Engine} — deadline, bounded retries,
-      [Fail_fast]/[Shed]/[Block_until] policy and an independent
-      circuit breaker per shard — so one hot shard trips its breaker
-      without darkening the others.  Dequeues share one fabric-level
-      engine whose attempt is a full sweep.  On [Bounded] shards the
+      [Fail_fast]/[Shed] policy and an independent circuit breaker per
+      shard — so one hot shard trips its breaker without darkening the
+      others.  Dequeues share one fabric-level engine whose attempt is
+      a full sweep; it runs without a breaker, because an empty poll of
+      either shard kind costs only loads, so there is nothing for a
+      breaker to shield, and an open one would only reject an idle
+      consumer's polls for its cooldown.  On [Bounded] shards the
       sweep claims a ticket only on a ring whose two-load empty test
       ({!Core.Scq_queue.S.maybe_nonempty}) fails, so polling an empty
       fabric writes no shared line and records no probe mark; and the
@@ -34,11 +36,10 @@
       the fabric builds one hint at {!S.create}, true when any ring's
       test fails, and the engine's backoff spin ends as soon as it
       holds.  The dequeue wait ends early only on SCQ shards:
-      [Segmented] and [Elastic] shards give no hint and spin blind;
-    - {b producer batching}: {!S.Producer} buffers per-producer pushes
-      and flushes them as one {!S.enqueue_batch}, which routes the
-      whole batch to a single shard — on segmented shards a single
-      fetch-and-add claims the whole index range.
+      [Segmented] shards give no hint and spin blind;
+    - {b batching}: {!S.enqueue_batch} routes a whole batch to one
+      shard — on [Segmented] shards one fetch-and-add claims the whole
+      index range.
 
     Everything is a functor over {!Core.Atomic_intf.ATOMIC} like the
     primitives it composes; the top level is the [Stdlib_atomic]
@@ -51,10 +52,6 @@
 
 type shard_kind =
   | Bounded  (** {!Core.Scq_queue} rings: full shards refuse (backpressure) *)
-  | Elastic
-      (** chains of SCQ rings: a full ring is closed and a fresh one
-          appended, so enqueue always succeeds and capacity grows in
-          ring-sized steps *)
   | Segmented
       (** {!Core.Segmented_queue}: unbounded, with the one-FAA batch
           range claims *)
@@ -63,57 +60,32 @@ type config = {
   shards : int;  (** shard count, >= 1 *)
   shard_capacity : int;
       (** per-shard ring capacity ([Bounded]: the refusal bound;
-          [Elastic]: the growth granularity; ignored for [Segmented]) *)
+          ignored for [Segmented]) *)
   kind : shard_kind;
-  batch : int;  (** default {!S.Producer} flush threshold *)
   resilience : Resilience.Resilient.config;
-      (** per-shard enqueue engines and the fabric dequeue engine *)
+      (** every engine's policy: each shard's enqueue engine, breaker
+          included, runs it as given; the fabric dequeue engine runs it
+          with [breaker_threshold = 0] (no breaker) *)
 }
 
 val default_config : config
-(** 8 [Bounded] shards of 1024, producer batch 16,
-    {!Resilience.Resilient.default} policies. *)
+(** 8 [Bounded] shards of 1024, {!Resilience.Resilient.default}
+    policies. *)
 
 type error = Resilience.Resilient.error
 
 module type S = sig
   type 'a t
 
-  (** Unbounded elastic queue: a chain of bounded SCQ rings (the
-      queue-of-queues overflow topology).  FIFO and linearizable on its
-      own; used as the [Elastic] shard kind and exposed for direct
-      composition. *)
-  module Elastic : sig
-    type 'a q
-
-    val create : ring_capacity:int -> unit -> 'a q
-    val enqueue : 'a q -> 'a -> unit
-    (** Never refuses: a full tail ring is closed and a new ring
-        appended (helping, lock-free). *)
-
-    val dequeue : 'a q -> 'a option
-    (** [None] iff observed empty.  A drained ring is retired from the
-        chain only once it is closed and no enqueuer is in flight. *)
-
-    val length : 'a q -> int
-    val is_empty : 'a q -> bool
-
-    val rings : 'a q -> int
-    (** Live rings in the chain (>= 1); grows on overflow, shrinks as
-        drained rings are retired. *)
-  end
-
   val name : string
   val create : ?config:config -> unit -> 'a t
-  val config : 'a t -> config
-  val shard_count : 'a t -> int
 
   val try_enqueue : ?key:int -> 'a t -> 'a -> (unit, error) result
   (** Route to shard [key mod shards] (or round-robin via the splitter
       when [key] is absent) and enqueue through that shard's policy
       engine.  [Bounded] shards refuse when full — the policy decides
       whether that surfaces as [Rejected], [Shedded] or [Timed_out];
-      [Elastic]/[Segmented] shards cannot refuse. *)
+      [Segmented] shards cannot refuse. *)
 
   val try_dequeue : 'a t -> ('a, error) result
   (** Sweep every shard once per attempt, starting from the dequeue
@@ -154,7 +126,7 @@ module type S = sig
   val peek_any : 'a t -> 'a option
   (** Head of the first non-empty shard (sweep from 0), without
       removing it.  [None] when all shards look empty, and always
-      [None] for [Bounded]/[Elastic] shards (SCQ rings cannot peek —
+      [None] for [Bounded] shards (SCQ rings cannot peek —
       see {!Core.Queue_intf.BOUNDED}). *)
 
   val length : 'a t -> int
@@ -162,34 +134,9 @@ module type S = sig
       concurrency with the usual [0 <= length] bound. *)
 
   val is_empty : 'a t -> bool
-  val shard_lengths : 'a t -> int array
 
-  (** Per-producer batching: buffer pushes, flush as one
-      {!enqueue_batch} to the handle's (fixed) key.  A handle is owned
-      by one producer — it is not safe to share across domains. *)
-  module Producer : sig
-    type 'a handle
-
-    val create : ?key:int -> ?batch:int -> 'a t -> 'a handle
-    (** [batch] defaults to the fabric's [config.batch]. *)
-
-    val push : 'a handle -> 'a -> 'a list
-    (** Buffer [v]; when the buffer reaches [batch], flush.  Returns
-        the refused elements of an implied flush ([[]] otherwise —
-        including when nothing was flushed). *)
-
-    val flush : 'a handle -> 'a list
-    (** Enqueue the buffer now (in push order); returns refusals. *)
-
-    val pending : 'a handle -> int
-  end
-
-  val shard_outcomes : 'a t -> Resilience.Resilient.outcomes array
   val outcomes : 'a t -> Resilience.Resilient.outcomes
   (** Aggregate over every shard engine plus the dequeue engine. *)
-
-  val enq_breaker_states : 'a t -> Resilience.Resilient.breaker_state array
-  val dequeue_metrics : 'a t -> Obs.Metrics.t
 
   val register_telemetry : ?prefix:string -> 'a t -> unit
   (** Register live gauges with {!Obs.Sampler}: total [length], each

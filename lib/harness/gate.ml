@@ -252,13 +252,13 @@ let overhead_pct ?(pairs = 5_000) () =
   in
   let run_pairs () =
     let q = Q.create () in
-    let t0 = Monotonic_clock.now () in
+    let t0 = Obs.Clock.now_ns () in
     for i = 1 to pairs do
       Q.enqueue q i;
       spin ();
       ignore (Q.dequeue q)
     done;
-    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
+    float_of_int (Obs.Clock.now_ns () - t0)
   in
   Obs.Sampler.register_gauge "telemetry.overhead_probe" (fun () -> 1.);
   let best_off = ref infinity and best_on = ref infinity in

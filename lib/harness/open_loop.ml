@@ -94,13 +94,11 @@ type result = {
   enq_latency : Obs.Histogram.t;
 }
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
 (* Sleep most of a long gap, spin the rest — sleepf alone overshoots by
    scheduler quanta, spinning alone burns the (single) core. *)
 let pace target =
   let rec loop () =
-    let d = target - now_ns () in
+    let d = target - Obs.Clock.now_ns () in
     if d > 5_000_000 then begin
       Unix.sleepf (float_of_int (d - 2_000_000) /. 1e9);
       loop ()
@@ -140,7 +138,7 @@ let run ?(config = default) fab =
     Atomic.get start
   in
   let fire p i =
-    let t0 = now_ns () in
+    let t0 = Obs.Clock.now_ns () in
     let r =
       if Array.length pkeys.(p) = 0 then Fabric.Queue_fabric.try_enqueue fab t0
       else Fabric.Queue_fabric.try_enqueue ~key:pkeys.(p).(i) fab t0
@@ -148,7 +146,7 @@ let run ?(config = default) fab =
     (match r with
     | Ok () -> Atomic.incr enqueued
     | Error _ -> Atomic.incr refused);
-    Obs.Histogram.record enq_latency (now_ns () - t0)
+    Obs.Histogram.record enq_latency (Obs.Clock.now_ns () - t0)
   in
   let produce_range p t0 ~from ~upto =
     for i = from to upto - 1 do
@@ -178,7 +176,7 @@ let run ?(config = default) fab =
     while !running do
       match Fabric.Queue_fabric.try_dequeue fab with
       | Ok ts ->
-          Obs.Histogram.record sojourn (now_ns () - ts);
+          Obs.Histogram.record sojourn (Obs.Clock.now_ns () - ts);
           Atomic.incr dequeued
       | Error _ -> (
           if Atomic.get live_producers = 0 then
@@ -186,7 +184,7 @@ let run ?(config = default) fab =
                tripped breaker cannot strand values *)
             match Fabric.Queue_fabric.drain_one fab with
             | Some ts ->
-                Obs.Histogram.record sojourn (now_ns () - ts);
+                Obs.Histogram.record sojourn (Obs.Clock.now_ns () - ts);
                 Atomic.incr dequeued
             | None -> running := false
           else Domain.cpu_relax ())
@@ -196,11 +194,11 @@ let run ?(config = default) fab =
   let cdoms =
     Array.init (max 1 cfg.consumers) (fun _ -> Domain.spawn consumer)
   in
-  let t0 = now_ns () in
+  let t0 = Obs.Clock.now_ns () in
   Atomic.set start t0;
   Array.iter Domain.join pdoms;
   Array.iter Domain.join cdoms;
-  let duration_ns = max 1 (now_ns () - t0) in
+  let duration_ns = max 1 (Obs.Clock.now_ns () - t0) in
   if telemetry then begin
     (* one last sample so the timeline's tail reflects the drained
        state, then drop this run's sources (the series keep their

@@ -80,8 +80,6 @@ let rng_of seed =
 
 let n_rows = 128
 let row () = (Domain.self () :> int) land (n_rows - 1)
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
 (* ------------------------------------------------------------------ *)
 (* Per-worker bookkeeping, read by the end-of-round audits. *)
 
@@ -287,10 +285,10 @@ module Make (B : Core.Queue_intf.BOUNDED) = struct
                   else begin
                     decr between;
                     if !between = 0 then raise (Crashed "between-ops");
-                    let c0 = now_ns () in
+                    let c0 = Obs.Clock.now_ns () in
                     match R.try_dequeue rq with
                     | Ok v ->
-                        Obs.Histogram.record deq_latency (now_ns () - c0);
+                        Obs.Histogram.record deq_latency (Obs.Clock.now_ns () - c0);
                         slot.got <- v :: slot.got
                     | Error _ ->
                         if Atomic.get remaining = 0 && B.is_empty q then

@@ -169,18 +169,17 @@ let batched (module Q : Core.Queue_intf.BATCH) ?domains ?items ~batch () =
     }
     ?domains ?items ~batch ()
 
-(* Elastic shards so the batch enqueue is total (growth instead of
-   refusal) and the comparison against [segmented] isolates the
-   routing+engine overhead; each domain keys its batches to itself,
-   which is the fabric's intended producer-batching shape. *)
+(* Segmented shards so the batch enqueue is total and claims its range
+   with one fetch-and-add, and the comparison against [segmented]
+   isolates the routing+engine overhead; each domain keys its batches
+   to itself, which is the fabric's intended producer-batching shape. *)
 let fabric_batched ?(shards = 4) ?domains ?items ~batch () =
   let module F = Fabric.Queue_fabric in
   let config =
     {
       F.default_config with
       shards;
-      kind = F.Elastic;
-      batch;
+      kind = F.Segmented;
       resilience =
         {
           Resilience.Resilient.default with

@@ -95,8 +95,8 @@ val fabric_batched :
   batch:int ->
   unit ->
   batch_measurement
-(** {!batched_driver} over a fresh elastic fabric ([shards] defaults to
-    4): each domain batches to its own key ([enqueue_batch
+(** {!batched_driver} over a fresh fabric of [Segmented] shards
+    ([shards] defaults to 4): each domain batches to its own key ([enqueue_batch
     ~key:domain-id]), the fabric's intended producer-batching shape, so
     the sweep compares one-FAA-per-batch range claims against the
     fabric's route+engine overhead.  Reported as ["fabric-<n>sh"]. *)

@@ -67,7 +67,7 @@ let record ev (l : Locks.Probe.label) =
   let d = (Domain.self () :> int) in
   let c = !cap in
   let ring = Rows.row !rings ~width:(first_rec + (c * rec_words)) d in
-  let t = Int64.to_int (Monotonic_clock.now ()) in
+  let t = Clock.now_ns () in
   let h = ring.(head_cell) in
   let base = first_rec + ((h land (c - 1)) * rec_words) in
   ring.(base + id_cell) <- (l :> int);

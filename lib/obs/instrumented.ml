@@ -16,8 +16,6 @@ module type BOUNDED_S = sig
   val metrics : 'a t -> Metrics.t
 end
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
 (* Run [f], attributing its latency and its per-domain probe deltas
    (CAS retries, backoffs, helps) to [m].  [phase] is the
    "<queue>.enq"/"<queue>.deq" label, interned once per functor
@@ -28,10 +26,10 @@ let now_ns () = Int64.to_int (Monotonic_clock.now ())
 let measured ~phase m latency f =
   let before = Locks.Probe.local () in
   Locks.Probe.phase_begin phase;
-  let t0 = now_ns () in
+  let t0 = Clock.now_ns () in
   let result = f () in
   Locks.Probe.phase_end phase;
-  let dt = now_ns () - t0 in
+  let dt = Clock.now_ns () - t0 in
   let d = Locks.Probe.diff (Locks.Probe.local ()) before in
   Histogram.record latency dt;
   if d.Locks.Probe.cas_retries > 0 then

@@ -18,8 +18,6 @@ let depth_cell = 1
 let first_start = 2
 let row_width = first_start + max_phase_depth
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
 type stat = { l : Locks.Probe.label; marks : Counter.t; hist : Histogram.t }
 
 (* Stats by label id, one table per kind.  A table only grows, under
@@ -87,7 +85,7 @@ let on_end row l now =
 
 let on_mark ev l =
   let row = Rows.mine !rows ~width:row_width in
-  let now = now_ns () in
+  let now = Clock.now_ns () in
   (match ev with
   | Locks.Probe.Site -> on_site row l now
   | Locks.Probe.Begin -> on_begin row now

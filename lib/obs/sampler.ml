@@ -32,15 +32,13 @@ let period = ref default_period_ns
 let stop_flag = Atomic.make false
 let dom : unit Domain.t option ref = ref None
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
 let with_lock f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
 let register_source s =
   with_lock (fun () ->
-      if !t0 = 0 then t0 := now_ns ();
+      if !t0 = 0 then t0 := Clock.now_ns ();
       sources := !sources @ [ s ])
 
 (* A dying source (its queue torn down mid-sample) must not kill the
@@ -61,7 +59,7 @@ let register_gauge ?labels ?unit_ name read =
 
 let register_counter ?labels name read =
   let ts = mk ?labels ~unit_:"per_s" name in
-  let prev = ref (read (), now_ns ()) in
+  let prev = ref (read (), Clock.now_ns ()) in
   register_source
     {
       src_name = name;
@@ -138,7 +136,7 @@ let clear () =
 
 let tick () =
   with_lock (fun () ->
-      let t_ns = now_ns () in
+      let t_ns = Clock.now_ns () in
       if !t0 = 0 then t0 := t_ns;
       List.iter (fun s -> s.sample ~t_ns) !sources)
 
@@ -147,7 +145,7 @@ let active () = !dom <> None
 let start ?(period_ns = default_period_ns) () =
   if !dom = None then begin
     if period_ns <= 0 then invalid_arg "Sampler.start";
-    (if !t0 = 0 then with_lock (fun () -> if !t0 = 0 then t0 := now_ns ()));
+    (if !t0 = 0 then with_lock (fun () -> if !t0 = 0 then t0 := Clock.now_ns ()));
     period := period_ns;
     Atomic.set stop_flag false;
     dom :=

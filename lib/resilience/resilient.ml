@@ -15,7 +15,7 @@ let l_reject = Locks.Probe.label "res.reject"
 let l_enq = Locks.Probe.label "res.enq"
 let l_deq = Locks.Probe.label "res.deq"
 
-type policy = Fail_fast | Block_until of int | Shed
+type policy = Fail_fast | Shed
 
 type config = {
   deadline_ns : int;
@@ -64,8 +64,6 @@ let outcomes_json o =
       ("breaker_trips", Obs.Json.Int o.breaker_trips);
       ("breaker_recoveries", Obs.Json.Int o.breaker_recoveries);
     ]
-
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* Breaker states, packed into one Atomic int. *)
 let st_closed = 0
@@ -153,7 +151,7 @@ let note_refusal rt br kind ~timed =
       seen >= rt.cfg.breaker_threshold
       && Atomic.compare_and_set br.state st_closed st_open
     then begin
-      Atomic.set br.opened_at (now_ns ());
+      Atomic.set br.opened_at (Obs.Clock.now_ns ());
       Obs.Counter.incr rt.c_trips;
       Locks.Probe.site l_breaker_trip;
       (* a minor anomaly: claims the flight-recorder latch only if no
@@ -168,7 +166,7 @@ let note_refusal rt br kind ~timed =
    restart the cooldown.  Re-trips are counted as trips. *)
 let reopen rt br =
   if Atomic.compare_and_set br.state st_half st_open then begin
-    Atomic.set br.opened_at (now_ns ());
+    Atomic.set br.opened_at (Obs.Clock.now_ns ());
     Obs.Counter.incr rt.c_trips;
     Locks.Probe.site l_breaker_trip;
     Obs.Flight.note_anomaly ~major:false
@@ -197,7 +195,7 @@ let succeed rt br kind ~timed ~t0 ~retries r =
   if Atomic.get br.consecutive <> 0 then Atomic.set br.consecutive 0;
   if timed then begin
     Obs.Histogram.record rt.metrics.Obs.Metrics.retries_per_op retries;
-    let dt = now_ns () - t0 in
+    let dt = Obs.Clock.now_ns () - t0 in
     match kind with
     | Enq ->
         Obs.Counter.incr rt.metrics.Obs.Metrics.enqueues;
@@ -224,57 +222,34 @@ let refuse rt br ~probing err =
       Locks.Probe.site l_reject);
   Error err
 
-(* [start + span], saturating at [max_int]: a budget near [max_int]
-   must mean "no limit", not wrap to a time already past. *)
-let ends_at start span = if span > max_int - start then max_int else start + span
-
+(* [start + deadline_ns], saturating at [max_int]: a budget near
+   [max_int] must mean "no limit", not wrap to a time already past. *)
 let deadline_of rt start =
-  if rt.cfg.deadline_ns <= 0 then max_int else ends_at start rt.cfg.deadline_ns
+  let budget = rt.cfg.deadline_ns in
+  if budget <= 0 || budget > max_int - start then max_int else start + budget
 
 type admission = Proceed | Probe | Deny
 
 (* Breaker gate, entered only when the breaker was not closed.  While
-   open and cooling: [Block_until] waits for the cooldown (bounded by
-   its span and the deadline, both running from [start]), everything
-   else is denied outright.  Once cooled, exactly one caller wins the
-   CAS to half-open and proceeds as the probe; the rest stay denied
-   until the probe's outcome resolves the state. *)
-let admit rt br ~start ~deadline =
-  match Atomic.get br.state with
-  | 0 -> Proceed
-  | _ ->
-      let cooled () =
-        now_ns () - Atomic.get br.opened_at >= rt.cfg.breaker_cooldown_ns
-      in
-      let try_probe () =
-        if Atomic.compare_and_set br.state st_open st_half then Probe else Deny
-      in
-      if Atomic.get br.state = st_half then Deny
-      else if cooled () then try_probe ()
-      else begin
-        match rt.cfg.policy with
-        | Block_until span ->
-            let limit = min deadline (ends_at start span) in
-            let rec wait () =
-              if Atomic.get br.state = st_closed then Proceed
-              else if cooled () then try_probe ()
-              else if now_ns () >= limit then Deny
-              else begin
-                Domain.cpu_relax ();
-                wait ()
-              end
-            in
-            wait ()
-        | Fail_fast | Shed -> Deny
-      end
+   open and cooling every caller is denied.  Once cooled, exactly one
+   caller wins the CAS to half-open and proceeds as the probe; the rest
+   stay denied until the probe's outcome resolves the state. *)
+let admit rt br ~now =
+  let state = Atomic.get br.state in
+  if state = st_closed then Proceed
+  else if
+    state = st_open
+    && now - Atomic.get br.opened_at >= rt.cfg.breaker_cooldown_ns
+    && Atomic.compare_and_set br.state st_open st_half
+  then Probe
+  else Deny
 
 (* Slow path one: the attempt at hand has just refused.  Back off and
-   retry until a success or a verdict, under a deadline (and a
-   [Block_until] span) running from [start] — the operation's first
-   refusal, or its first wait at a breaker that was not closed.  A
-   dequeue's spin ends early once the engine's hint holds; the limits
-   are the blind spin's, but a wake that refuses again spends a retry
-   sooner (see [Engine.create]). *)
+   retry until a success or a verdict, under a deadline running from
+   [start] — the operation's first refusal, or its arrival at a breaker
+   that was not closed.  A dequeue's spin ends early once the engine's
+   hint holds; the limits are the blind spin's, but a wake that refuses
+   again spends a retry sooner (see [Engine.create]). *)
 let retry rt br kind attempt ~timed ~t0 ~start ~probing =
   let deadline = deadline_of rt start in
   let until = match kind with Deq -> rt.deq_hint | Enq -> None in
@@ -286,12 +261,10 @@ let retry rt br kind attempt ~timed ~t0 ~start ~probing =
     note_refusal rt br kind ~timed;
     match rt.cfg.policy with
     | Fail_fast -> refuse rt br ~probing Rejected
-    | _ when now_ns () >= deadline -> refuse rt br ~probing Timed_out
+    | _ when Obs.Clock.now_ns () >= deadline -> refuse rt br ~probing Timed_out
     | Shed when rt.cfg.max_retries >= 0 && retries >= rt.cfg.max_retries ->
         refuse rt br ~probing Shedded
-    | Block_until span when now_ns () >= min deadline (ends_at start span) ->
-        refuse rt br ~probing Timed_out
-    | Shed | Block_until _ -> (
+    | Shed -> (
         Locks.Backoff.once ?until b;
         match attempt () with
         | Some r ->
@@ -306,7 +279,7 @@ let retry rt br kind attempt ~timed ~t0 ~start ~probing =
    guards against dying mid-attempt (an injected crash): it must not
    wedge the circuit half-open. *)
 let gated rt br kind attempt ~timed ~t0 =
-  let start = now_ns () in
+  let start = Obs.Clock.now_ns () in
   let first ~probing =
     match attempt () with
     | Some r ->
@@ -314,7 +287,7 @@ let gated rt br kind attempt ~timed ~t0 =
         succeed rt br kind ~timed ~t0 ~retries:0 r
     | None -> retry rt br kind attempt ~timed ~t0 ~start ~probing
   in
-  match admit rt br ~start ~deadline:(deadline_of rt start) with
+  match admit rt br ~now:start with
   | Deny -> refuse rt br ~probing:false Rejected
   | Proceed -> first ~probing:false
   | Probe -> (
@@ -341,14 +314,14 @@ let run : type r. rt -> breaker -> kind -> (unit -> r option) -> (r, error) resu
   let label = phase_label kind in
   Locks.Probe.phase_begin label;
   let timed = Obs.Control.enabled () in
-  let t0 = if timed then now_ns () else 0 in
+  let t0 = if timed then Obs.Clock.now_ns () else 0 in
   match
     if Atomic.get br.state <> st_closed then gated rt br kind attempt ~timed ~t0
     else
       match attempt () with
       | Some r -> succeed rt br kind ~timed ~t0 ~retries:0 r
       | None ->
-          retry rt br kind attempt ~timed ~t0 ~start:(now_ns ()) ~probing:false
+          retry rt br kind attempt ~timed ~t0 ~start:(Obs.Clock.now_ns ()) ~probing:false
   with
   | r ->
       Locks.Probe.phase_end label;
@@ -365,7 +338,7 @@ module Engine = struct
 
   let create ?(config = default) ?deq_hint ~name () =
     fresh_rt ?deq_hint config name
-  let config t = t.cfg
+
   let enqueue t attempt = run t t.enq_br Enq attempt
   let dequeue t attempt = run t t.deq_br Deq attempt
   let metrics t = t.metrics

@@ -8,8 +8,8 @@
     - {b per-op deadlines} — every retrying operation carries a
       monotonic-clock budget ([deadline_ns]) and returns
       [Error Timed_out] instead of spinning past it.  The budget runs
-      from the operation's first refusal, or its first wait at a
-      breaker that is not closed — as a timed [poll]/[offer] in
+      from the operation's first refusal, or its arrival at a breaker
+      that is not closed — as a timed [poll]/[offer] in
       [java.util.concurrent] starts its timeout only when it must
       wait — so an attempt that succeeds at once never starts it;
     - {b bounded retries with randomized exponential backoff} — each
@@ -18,8 +18,8 @@
       streams, up to [max_retries] attempts;
     - {b shed policies} — what to do when refusal persists:
       [Fail_fast] returns on the first refusal, [Shed] drops the work
-      after the retry budget, [Block_until span] keeps blocking up to
-      [span] ns (still capped by the deadline);
+      after the retry budget (with [max_retries < 0] it keeps retrying
+      up to the deadline);
     - {b a circuit breaker} — [breaker_threshold] consecutive refusals
       trip the op direction's breaker open; while open (and not yet
       cooled for [breaker_cooldown_ns]) operations are rejected without
@@ -45,14 +45,6 @@
 
 type policy =
   | Fail_fast  (** return [Error Rejected] on the first refusal *)
-  | Block_until of int
-      (** keep retrying a refused op up to this many ns from its first
-          refusal, or from its first wait at a breaker that is not
-          closed (capped by the deadline; a span past [max_int] ns
-          from then saturates, so [Block_until max_int] blocks up to
-          the deadline); on expiry,
-          [Error Timed_out].  [max_retries] does not apply — blocking
-          is bounded by time, not attempts. *)
   | Shed
       (** retry within [max_retries]/deadline, then drop the work with
           [Error Shedded] *)
@@ -60,7 +52,7 @@ type policy =
 type config = {
   deadline_ns : int;
       (** per-operation monotonic budget, running from the first
-          refusal (or the first wait at a breaker that is not closed);
+          refusal (or the arrival at a breaker that is not closed);
           [<= 0] means no deadline, and so does a budget that would
           end past [max_int] ns *)
   max_retries : int;
@@ -82,7 +74,7 @@ val default : config
     consecutive refusals with a 100 µs cooldown, [Shed]. *)
 
 type error =
-  | Timed_out  (** deadline (or [Block_until] span) expired *)
+  | Timed_out  (** the deadline expired *)
   | Shedded  (** [Shed] policy dropped the work after the retry budget *)
   | Rejected  (** [Fail_fast] refusal, or the breaker was open *)
 
@@ -121,9 +113,8 @@ module Engine : sig
       must be cheap, read-only and allocation-free.  It should read
       [true] whenever an attempt could succeed (a miss only leaves the
       spin blind) and seldom otherwise.  The hint changes no limit:
-      [max_retries], the deadline, the [Block_until] span, breaker
-      thresholds and the enqueue direction are those of an engine
-      without it.  It does change which limit an operation meets
+      [max_retries], the deadline, breaker thresholds and the enqueue
+      direction are those of an engine without it.  It does change which limit an operation meets
       first: a wake whose attempt still refuses spends a retry with
       less time spun, so under a deadline a hint that reads [true]
       while attempts refuse spends [max_retries] sooner, and a
@@ -134,7 +125,6 @@ module Engine : sig
       spin's.  Without a hint (the default, and always for
       {!Make_bounded}) the spin is blind. *)
 
-  val config : t -> config
   val enqueue : t -> (unit -> 'r option) -> ('r, error) result
   val dequeue : t -> (unit -> 'r option) -> ('r, error) result
   val metrics : t -> Obs.Metrics.t

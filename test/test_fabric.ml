@@ -1,8 +1,7 @@
 (* The sharded fabric (lib/fabric) and its open-loop driver
-   (Harness.Open_loop): elastic overflow, backpressure bounds,
-   per-key FIFO, producer batching, chaos-wrapped conservation, the
-   deterministic arrival schedule, and the schema-7 fabric sections of
-   Bench_compare. *)
+   (Harness.Open_loop): backpressure bounds, per-key FIFO, batching,
+   chaos-wrapped conservation, the deterministic arrival schedule, and
+   the schema-7 fabric sections of Bench_compare. *)
 
 module F = Fabric.Queue_fabric
 module R = Resilience.Resilient
@@ -13,8 +12,7 @@ let strict kind ~shards ~capacity =
   F.create
     ~config:
       {
-        F.default_config with
-        shards;
+        F.shards;
         shard_capacity = capacity;
         kind;
         resilience =
@@ -27,46 +25,6 @@ let drain_all fab =
     match F.drain_one fab with Some v -> go (v :: acc) | None -> List.rev acc
   in
   go []
-
-(* ------------------------------------------------------------------ *)
-(* Elastic: the queue-of-queues overflow chain *)
-
-let test_elastic_grow_drain () =
-  let q = F.Elastic.create ~ring_capacity:4 () in
-  Alcotest.(check bool) "fresh empty" true (F.Elastic.is_empty q);
-  let n = 50 in
-  for v = 1 to n do
-    F.Elastic.enqueue q v
-  done;
-  Alcotest.(check int) "length" n (F.Elastic.length q);
-  Alcotest.(check bool) "overflow grew the chain" true (F.Elastic.rings q > 1);
-  let got = List.init n (fun _ -> Option.get (F.Elastic.dequeue q)) in
-  Alcotest.(check (list int)) "FIFO across rings" (List.init n (fun i -> i + 1))
-    got;
-  Alcotest.(check (option int)) "empty after drain" None (F.Elastic.dequeue q);
-  Alcotest.(check bool) "drained rings retired" true (F.Elastic.rings q <= 2)
-
-let test_elastic_two_domain () =
-  let q = F.Elastic.create ~ring_capacity:8 () in
-  let n = 2_000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for v = 1 to n do
-          F.Elastic.enqueue q v
-        done)
-  in
-  let got = ref 0 and last = ref 0 and ordered = ref true in
-  while !got < n do
-    match F.Elastic.dequeue q with
-    | Some v ->
-        if v <= !last then ordered := false;
-        last := v;
-        incr got
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join producer;
-  Alcotest.(check bool) "single-producer FIFO under growth" true !ordered;
-  Alcotest.(check bool) "empty at quiescence" true (F.Elastic.is_empty q)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded shards: conservation including refusals, length bounds *)
@@ -149,22 +107,16 @@ let test_per_key_fifo () =
   Alcotest.(check int) "all values seen (key 1)" n seen.(1)
 
 (* ------------------------------------------------------------------ *)
-(* Batch path and the Producer handle *)
+(* Batch path *)
 
-let test_batch_and_producer () =
+let test_batch () =
   let fab = strict F.Segmented ~shards:2 ~capacity:64 in
   Alcotest.(check (list int)) "segmented batch accepted" []
     (F.enqueue_batch ~key:7 fab [ 1; 2; 3; 4 ]);
-  let h = F.Producer.create ~key:7 ~batch:3 fab in
-  Alcotest.(check (list int)) "push buffers" [] (F.Producer.push h 5);
-  Alcotest.(check (list int)) "push buffers" [] (F.Producer.push h 6);
-  Alcotest.(check int) "pending" 2 (F.Producer.pending h);
-  Alcotest.(check (list int)) "threshold flush" [] (F.Producer.push h 7);
-  Alcotest.(check int) "flushed" 0 (F.Producer.pending h);
-  Alcotest.(check (list int)) "explicit flush of nothing" []
-    (F.Producer.flush h);
-  (* one key -> one shard -> FIFO across both enqueue paths *)
-  Alcotest.(check (list int)) "batch + handle FIFO" [ 1; 2; 3; 4; 5; 6; 7 ]
+  Alcotest.(check (list int)) "second batch accepted" []
+    (F.enqueue_batch ~key:7 fab [ 5; 6; 7 ]);
+  (* one key -> one shard -> FIFO across batches *)
+  Alcotest.(check (list int)) "batch FIFO" [ 1; 2; 3; 4; 5; 6; 7 ]
     (drain_all fab);
   let batched = F.dequeue_batch fab ~max:4 in
   Alcotest.(check (list int)) "batch dequeue of empty" [] batched
@@ -420,31 +372,63 @@ let test_fabric_batched_driver () =
   Alcotest.(check bool) "throughput positive" true (m.items_per_second > 0.)
 
 (* ------------------------------------------------------------------ *)
-(* Polling bounded shards: two loads per empty ring, and the dequeue
-   engine wakes on an arrival *)
+(* Polling shards: an empty poll is loads only, the dequeue engine
+   wakes on an arrival, and an idle consumer is never locked out *)
 
 let test_empty_sweep_records_nothing () =
-  let fab = F.create () in
-  Obs.Flight.enable ();
-  Fun.protect ~finally:Obs.Flight.disable (fun () ->
-      (* one item through first, so this domain's flight row exists *)
-      ignore (F.try_enqueue fab 0);
-      Alcotest.(check (option int)) "the item" (Some 0) (F.drain_one fab);
-      let r0 = Obs.Flight.recorded () in
-      Alcotest.(check (option int)) "empty" None (F.drain_one fab);
-      Alcotest.(check int) "an empty sweep records nothing" r0
-        (Obs.Flight.recorded ());
-      ignore (F.try_enqueue fab 1);
-      Alcotest.(check (option int)) "an item lands" (Some 1) (F.drain_one fab);
-      Alcotest.(check bool) "a claiming sweep records" true
-        (Obs.Flight.recorded () > r0))
+  List.iter
+    (fun kind ->
+      let fab = F.create ~config:{ F.default_config with kind } () in
+      Obs.Flight.enable ();
+      Fun.protect ~finally:Obs.Flight.disable (fun () ->
+          (* one item through first, so this domain's flight row exists *)
+          ignore (F.try_enqueue fab 0);
+          Alcotest.(check (option int)) "the item" (Some 0) (F.drain_one fab);
+          let r0 = Obs.Flight.recorded () in
+          Alcotest.(check (option int)) "empty" None (F.drain_one fab);
+          Alcotest.(check int) "an empty sweep records nothing" r0
+            (Obs.Flight.recorded ());
+          ignore (F.try_enqueue fab 1);
+          Alcotest.(check (option int)) "an item lands" (Some 1)
+            (F.drain_one fab);
+          Alcotest.(check bool) "a claiming sweep records" true
+            (Obs.Flight.recorded () > r0)))
+    [ F.Bounded; F.Segmented ]
+
+let test_idle_consumer_not_locked_out () =
+  (* Empty polls on the default fabric, with a cooldown long enough
+     that a tripped dequeue breaker would reject the poll after the
+     arrival. *)
+  let fab =
+    F.create
+      ~config:
+        {
+          F.default_config with
+          resilience = { R.default with R.breaker_cooldown_ns = 1_000_000_000 };
+        }
+      ()
+  in
+  for _ = 1 to 3 do
+    match F.try_dequeue fab with
+    | Ok _ -> Alcotest.fail "an empty fabric dequeued"
+    | Error _ -> ()
+  done;
+  (match F.try_enqueue fab 7 with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "enqueue into an empty fabric refused");
+  (match F.try_dequeue fab with
+  | Ok v -> Alcotest.(check int) "the arrival" 7 v
+  | Error e ->
+      Alcotest.failf "the poll after an arrival failed: %s"
+        (R.error_to_string e));
+  Alcotest.(check int) "no breaker trip" 0 (F.outcomes fab).R.breaker_trips
 
 let test_dequeue_wakes_on_arrival () =
-  (* The default shards (8 bounded SCQ rings) with no deadline and no
-     span, so the one call waits for the value however late the
-     producer runs, and a backoff bound of 2^30 relaxes: a blind spin
-     lasts up to about half a minute, so only the shards' hint ends
-     it within seconds. *)
+  (* The default shards (8 bounded SCQ rings) under [Shed] with no
+     retry bound and no deadline, so the one call waits for the value
+     however late the producer runs, and a backoff bound of 2^30
+     relaxes: a blind spin lasts up to about half a minute, so only
+     the shards' hint ends it within seconds. *)
   let fab =
     F.create
       ~config:
@@ -454,7 +438,7 @@ let test_dequeue_wakes_on_arrival () =
             {
               R.default with
               R.deadline_ns = 0;
-              policy = R.Block_until max_int;
+              max_retries = -1;
               backoff_initial = 1 lsl 30;
               backoff_limit = 1 lsl 30;
             };
@@ -485,18 +469,13 @@ let suites =
   [
     ( "fabric",
       [
-        Alcotest.test_case "elastic grow/drain FIFO" `Quick
-          test_elastic_grow_drain;
-        Alcotest.test_case "elastic 2-domain order" `Quick
-          test_elastic_two_domain;
         Alcotest.test_case "bounded conservation + refusals" `Quick
           test_bounded_conservation;
         Alcotest.test_case "backpressure bounds (concurrent)" `Quick
           test_backpressure_bounds_concurrent;
         Alcotest.test_case "per-key FIFO across producers" `Quick
           test_per_key_fifo;
-        Alcotest.test_case "batch + producer handle" `Quick
-          test_batch_and_producer;
+        Alcotest.test_case "batch enqueue FIFO" `Quick test_batch;
         Alcotest.test_case "chaos-wrapped conservation" `Quick
           test_chaos_conservation;
         Alcotest.test_case "open-loop schedule deterministic" `Quick
@@ -515,6 +494,8 @@ let suites =
           test_writers_disjoint_detects_overlap;
         Alcotest.test_case "an empty sweep records nothing" `Quick
           test_empty_sweep_records_nothing;
+        Alcotest.test_case "idle consumer not locked out" `Quick
+          test_idle_consumer_not_locked_out;
         Alcotest.test_case "dequeue wakes on an arrival" `Quick
           test_dequeue_wakes_on_arrival;
         Alcotest.test_case "fabric batched driver" `Quick

@@ -105,20 +105,6 @@ let test_deadline () =
   | Ok _ | Error _ -> Alcotest.fail "empty dequeue should time out");
   Alcotest.(check bool) "timeout counted" true ((RQ.outcomes t).R.timeouts >= 1)
 
-let test_block_until () =
-  let t =
-    RQ.create
-      ~config:
-        { quick with R.deadline_ns = 0; R.policy = R.Block_until 200_000 }
-      ()
-  in
-  let t0 = Unix.gettimeofday () in
-  (match RQ.try_dequeue t with
-  | Error R.Timed_out -> ()
-  | Ok _ | Error _ -> Alcotest.fail "blocking past the span should time out");
-  Alcotest.(check bool) "actually blocked a while" true
-    (Unix.gettimeofday () -. t0 >= 0.000_1)
-
 let test_success_resets () =
   let t = RQ.create ~config:quick () in
   enq t 42;
@@ -384,19 +370,6 @@ let test_deadline_max_int () =
         (R.error_to_string e));
   Alcotest.(check int) "no timeout" 0 (RB.outcomes t).R.timeouts
 
-let test_block_until_max_int () =
-  (* [Block_until max_int] blocks up to the deadline, not at all *)
-  let t =
-    RB.create ~config:{ R.default with R.policy = R.Block_until max_int } ()
-  in
-  let t0 = Unix.gettimeofday () in
-  (match RB.try_dequeue t with
-  | Error R.Timed_out -> ()
-  | Ok _ -> Alcotest.fail "an empty queue dequeued"
-  | Error e -> Alcotest.failf "expected a timeout, got %s" (R.error_to_string e));
-  Alcotest.(check bool) "blocked until the 1 ms deadline" true
-    (Unix.gettimeofday () -. t0 >= 0.001)
-
 (* ------------------------------------------------------------------ *)
 (* A dequeue hint keeps every limit, and without a deadline every
    verdict and count; under a deadline it can change which limit an
@@ -537,7 +510,6 @@ let suites =
         Alcotest.test_case "fail-fast" `Quick test_fail_fast;
         Alcotest.test_case "shed after retry budget" `Quick test_shed;
         Alcotest.test_case "deadline times out" `Quick test_deadline;
-        Alcotest.test_case "block-until span" `Quick test_block_until;
         Alcotest.test_case "success leaves no outcome" `Quick test_success_resets;
         Alcotest.test_case "deadline runs from the first refusal" `Quick
           test_deadline_from_first_refusal;
@@ -560,8 +532,6 @@ let suites =
         Alcotest.test_case "bounded full path" `Quick test_bounded_full_path;
         Alcotest.test_case "deadline of max_int saturates" `Quick
           test_deadline_max_int;
-        Alcotest.test_case "block-until max_int saturates" `Quick
-          test_block_until_max_int;
         Alcotest.test_case "dequeue hint without a deadline keeps verdicts"
           `Quick test_deq_hint_same_verdicts;
         Alcotest.test_case "dequeue hint under a deadline sheds sooner" `Quick
