@@ -1,6 +1,6 @@
 (* The sharded fabric (lib/fabric) and its open-loop driver
    (Harness.Open_loop): backpressure bounds, per-key FIFO, batching,
-   chaos-wrapped conservation, the deterministic arrival schedule, and
+   segmented growth, chaos-wrapped conservation, the deterministic arrival schedule, and
    the schema-7 fabric sections of Bench_compare. *)
 
 module F = Fabric.Queue_fabric
@@ -120,6 +120,80 @@ let test_batch () =
     (drain_all fab);
   let batched = F.dequeue_batch fab ~max:4 in
   Alcotest.(check (list int)) "batch dequeue of empty" [] batched
+
+let test_bounded_batch_refusals () =
+  (* a full ring refuses the batch's tail element by element *)
+  let fab = strict F.Bounded ~shards:1 ~capacity:4 in
+  Alcotest.(check (list int)) "refused tail, in order" [ 5; 6; 7 ]
+    (F.enqueue_batch fab [ 1; 2; 3; 4; 5; 6; 7 ]);
+  Alcotest.(check int) "each refusal counted" 3 (F.outcomes fab).R.rejections;
+  Alcotest.(check (option int)) "rings cannot peek" None (F.peek_any fab);
+  Alcotest.(check (list int)) "accepted head, in order" [ 1; 2; 3; 4 ]
+    (F.dequeue_batch fab ~max:10);
+  Alcotest.(check bool) "empty after the batch sweep" true (F.is_empty fab)
+
+(* ------------------------------------------------------------------ *)
+(* Segmented shards: unbounded, FIFO across segment boundaries *)
+
+let test_segmented_grow_drain () =
+  (* [shard_capacity] bounds only rings: one segmented shard takes
+     several segments' worth and drains them in order *)
+  let fab = strict F.Segmented ~shards:1 ~capacity:4 in
+  let n = (3 * Core.Segmented_queue.segment_capacity) + 10 in
+  for v = 1 to n do
+    match F.try_enqueue fab v with
+    | Ok () -> ()
+    | Error e ->
+        Alcotest.failf "segmented shard refused %d: %s" v (R.error_to_string e)
+  done;
+  Alcotest.(check int) "length" n (F.length fab);
+  Alcotest.(check (option int)) "peek sees the head" (Some 1) (F.peek_any fab);
+  Alcotest.(check (list int)) "FIFO across segments"
+    (List.init n (fun i -> i + 1))
+    (drain_all fab);
+  Alcotest.(check bool) "empty after drain" true (F.is_empty fab)
+
+let test_segmented_two_domain () =
+  (* one producer's batches claim their ranges while a consumer
+     drains, across segment boundaries *)
+  let fab = strict F.Segmented ~shards:2 ~capacity:4 in
+  let n = 2_000 and batch = 7 in
+  let finished = Atomic.make false in
+  let producer =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () ->
+            let v = ref 1 in
+            while !v <= n do
+              let k = min batch (n - !v + 1) in
+              (match F.enqueue_batch ~key:1 fab (List.init k (( + ) !v)) with
+              | [] -> ()
+              | _ -> failwith "segmented batch refused");
+              v := !v + k
+            done))
+  in
+  let got = ref 0 and last = ref 0 and ordered = ref true in
+  let rec consume () =
+    if !got < n then
+      match F.try_dequeue fab with
+      | Ok v ->
+          if v <= !last then ordered := false;
+          last := v;
+          incr got;
+          consume ()
+      | Error _ ->
+          (* stop if the producer died: its exception surfaces at join *)
+          if not (Atomic.get finished && F.is_empty fab) then begin
+            Domain.cpu_relax ();
+            consume ()
+          end
+  in
+  consume ();
+  Domain.join producer;
+  Alcotest.(check int) "every value dequeued" n !got;
+  Alcotest.(check bool) "single-producer FIFO under growth" true !ordered;
+  Alcotest.(check bool) "empty at quiescence" true (F.is_empty fab)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos-wrapped conservation through the registry adapter *)
@@ -476,6 +550,12 @@ let suites =
         Alcotest.test_case "per-key FIFO across producers" `Quick
           test_per_key_fifo;
         Alcotest.test_case "batch enqueue FIFO" `Quick test_batch;
+        Alcotest.test_case "bounded batch returns refusals in order" `Quick
+          test_bounded_batch_refusals;
+        Alcotest.test_case "segmented grow/drain FIFO" `Quick
+          test_segmented_grow_drain;
+        Alcotest.test_case "segmented 2-domain order" `Quick
+          test_segmented_two_domain;
         Alcotest.test_case "chaos-wrapped conservation" `Quick
           test_chaos_conservation;
         Alcotest.test_case "open-loop schedule deterministic" `Quick

@@ -105,6 +105,28 @@ let test_deadline () =
   | Ok _ | Error _ -> Alcotest.fail "empty dequeue should time out");
   Alcotest.(check bool) "timeout counted" true ((RQ.outcomes t).R.timeouts >= 1)
 
+let test_unbounded_retries_wait () =
+  (* [Shed] without a retry bound holds an empty dequeue for its whole
+     deadline: the verdict comes no sooner than the budget *)
+  let t =
+    RQ.create
+      ~config:
+        {
+          quick with
+          R.deadline_ns = 1_000_000;
+          max_retries = -1;
+          breaker_threshold = 0;
+        }
+      ()
+  in
+  let t0 = Obs.Clock.now_ns () in
+  (match RQ.try_dequeue t with
+  | Error R.Timed_out -> ()
+  | Ok _ -> Alcotest.fail "an empty queue dequeued"
+  | Error e -> Alcotest.failf "expected a timeout, got %s" (R.error_to_string e));
+  Alcotest.(check bool) "waited the whole 1 ms deadline" true
+    (Obs.Clock.now_ns () - t0 >= 1_000_000)
+
 let test_success_resets () =
   let t = RQ.create ~config:quick () in
   enq t 42;
@@ -328,6 +350,34 @@ let test_breaker_directions_independent () =
   Alcotest.(check bool) "enq breaker closed" true
     (RB.breaker_state t `Enq = R.Closed)
 
+let test_breaker_disabled () =
+  (* [breaker_threshold = 0], as the fabric's dequeue engine runs: a
+     refusal run of any length leaves the circuit closed, so a long
+     cooldown never delays the poll after an arrival *)
+  let t =
+    RQ.create
+      ~config:
+        {
+          quick with
+          R.policy = R.Fail_fast;
+          breaker_threshold = 0;
+          breaker_cooldown_ns = 1_000_000_000;
+        }
+      ()
+  in
+  for _ = 1 to 100 do
+    ignore (RQ.try_dequeue t)
+  done;
+  Alcotest.(check bool) "still closed" true (RQ.breaker_state t `Deq = R.Closed);
+  Alcotest.(check int) "no trip" 0 (RQ.outcomes t).R.breaker_trips;
+  enq t 1;
+  match RQ.try_dequeue t with
+  | Ok 1 -> ()
+  | Ok _ -> Alcotest.fail "wrong value"
+  | Error e ->
+      Alcotest.failf "the poll after an arrival failed: %s"
+        (R.error_to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Bounded wrapper: full-side refusals *)
 
@@ -510,6 +560,8 @@ let suites =
         Alcotest.test_case "fail-fast" `Quick test_fail_fast;
         Alcotest.test_case "shed after retry budget" `Quick test_shed;
         Alcotest.test_case "deadline times out" `Quick test_deadline;
+        Alcotest.test_case "unbounded retries wait out the deadline" `Quick
+          test_unbounded_retries_wait;
         Alcotest.test_case "success leaves no outcome" `Quick test_success_resets;
         Alcotest.test_case "deadline runs from the first refusal" `Quick
           test_deadline_from_first_refusal;
@@ -529,6 +581,8 @@ let suites =
           test_breaker_failed_probe_reopens;
         Alcotest.test_case "breaker directions independent" `Quick
           test_breaker_directions_independent;
+        Alcotest.test_case "threshold 0 never trips" `Quick
+          test_breaker_disabled;
         Alcotest.test_case "bounded full path" `Quick test_bounded_full_path;
         Alcotest.test_case "deadline of max_int saturates" `Quick
           test_deadline_max_int;
