@@ -238,6 +238,14 @@ let timeline_verdicts t =
   ]
 
 let max_overhead_pct = 2.0
+let overhead_pairs = 15
+
+type overhead = { median : float; q1 : float; q3 : float }
+
+(* Nearest rank of [q] in a sorted, non-empty array. *)
+let rank sorted q =
+  let n = Array.length sorted in
+  sorted.(max 0 (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
 
 let overhead_pct ?(pairs = 5_000) () =
   let (module Q : Core.Queue_intf.S) =
@@ -260,24 +268,39 @@ let overhead_pct ?(pairs = 5_000) () =
     done;
     float_of_int (Obs.Clock.now_ns () - t0)
   in
-  Obs.Sampler.register_gauge "telemetry.overhead_probe" (fun () -> 1.);
-  let best_off = ref infinity and best_on = ref infinity in
-  for _ = 1 to 5 do
-    best_off := Float.min !best_off (run_pairs ());
+  let run_on () =
     Obs.Flight.enable ();
     Obs.Sampler.start ~period_ns:5_000_000 ();
-    let t_on = run_pairs () in
+    let t = run_pairs () in
     Obs.Sampler.stop ();
     Obs.Flight.disable ();
-    best_on := Float.min !best_on t_on
-  done;
+    t
+  in
+  Obs.Sampler.register_gauge "telemetry.overhead_probe" (fun () -> 1.);
+  (* Each pair runs both sides back to back, the first side alternating,
+     so a slow stretch of the host lands on one pair, not on one side. *)
+  let pcts =
+    Array.init overhead_pairs (fun i ->
+        let off, on =
+          if i land 1 = 0 then
+            let off = run_pairs () in
+            (off, run_on ())
+          else
+            let on = run_on () in
+            (run_pairs (), on)
+        in
+        (on -. off) /. off *. 100.)
+  in
   Obs.Sampler.clear ();
-  (!best_on -. !best_off) /. !best_off *. 100.
+  Array.sort Float.compare pcts;
+  { median = rank pcts 0.5; q1 = rank pcts 0.25; q3 = rank pcts 0.75 }
 
-let overhead_verdict pct =
-  Verdict.v "overhead" (pct <= max_overhead_pct)
-    (Printf.sprintf "%+.2f%% enabled vs disabled (limit %.1f%%)" pct
-       max_overhead_pct)
+let overhead_verdict o =
+  Verdict.v "overhead" (o.median <= max_overhead_pct)
+    (Printf.sprintf
+       "median %+.2f%% enabled vs disabled over %d pairs (IQR %+.2f to %+.2f%%; \
+        limit %.1f%%)"
+       o.median overhead_pairs o.q1 o.q3 max_overhead_pct)
 
 type telemetry = { verdicts : Verdict.t list; timeline : timeline }
 

@@ -82,18 +82,24 @@ val timeline_verdicts : timeline -> Verdict.t list
 (** The timeline validates under the schema-8 shape, has points, and
     its OpenMetrics rendering ends in [# EOF]. *)
 
-val overhead_pct : ?pairs:int -> unit -> float
+type overhead = { median : float; q1 : float; q3 : float }
+(** Percent overheads: the median of the paired runs and its
+    interquartile range, nearest ranks. *)
+
+val overhead_pct : ?pairs:int -> unit -> overhead
 (** Enqueue / ~30 µs think / dequeue pairs on one MS queue (default
-    5,000), best of 5 runs alternating telemetry off and on (flight
-    recorder plus live sampler): the enabled run's extra cost in
-    percent.  Wall-clock. *)
+    5,000), timed with telemetry off and on (flight recorder plus live
+    sampler) in 15 interleaved pairs of runs, the side that runs first
+    alternating: each pair's extra cost of the enabled run in percent,
+    summarised with no sample dropped.  Wall-clock. *)
 
 type telemetry = { verdicts : Verdict.t list; timeline : timeline }
 
 val telemetry : seed:int64 -> flight_out:string -> telemetry
 (** The three gates at [msq_check telemetry]'s scale: the flight dump
     to [flight_out], the timeline at 30,000 pairs and 2,000 arrivals,
-    the overhead at 5,000 pairs within 2%. *)
+    the median paired overhead at 5,000 pairs within 2%, its verdict
+    printing that median with its interquartile range. *)
 
 (** {1 Chaos} *)
 

@@ -4,8 +4,11 @@
    id — into its own overwrite-oldest ring (plain stores, one writer per
    ring row), fed from the first position of Probe's subscriber table.
    When nothing is enabled the queues pay only Probe's one-load-and-
-   branch disabled path; when enabled, the per-event cost is one clock
-   read and four array stores.
+   branch disabled path.  When enabled, a record is four array stores
+   and at most one clock read: a Begin, an End and a site with no phase
+   open read the clock, while a site inside a phase stores the stamp of
+   its row's latest Begin, so the sites nested in a short phase (SCQ's
+   ring steps inside [scq.enq]/[scq.deq]) cost stores only.
 
    A dump renders the rings as Chrome-trace (catapult) JSON loadable in
    Perfetto or chrome://tracing.  The anomaly latch arms a dump path
@@ -18,9 +21,12 @@ let n_rings = 64
 let rec_words = 4
 
 (* Ring row layout: cell 0 is the row's cursor (events ever written),
-   records follow from cell 1. *)
+   cell 1 the stamp of the Begin that opened the row's current phase (0
+   while none is open: a Begin sets it, an End clears it), and records
+   follow from cell 2. *)
 let head_cell = 0
-let first_rec = 1
+let phase_cell = 1
+let first_rec = 2
 
 (* record cells *)
 let id_cell = 0
@@ -60,14 +66,29 @@ let configure ~capacity =
 let recorded () = Rows.fold (fun n ring -> n + ring.(head_cell)) 0 !rings
 
 (* One record per mark: the label's id as [Locks.Probe] interned it,
-   so the path is a ring lookup, a clock read and four stores. *)
+   so the path is a ring lookup, at most one clock read and four stores.
+   A site inside a phase takes the stamp of the latest Begin, which the
+   row's next End stops lending: the site happened between that stamp
+   and the next record's. *)
 let tag = function Locks.Probe.Site -> tag_site | Begin -> tag_begin | End -> tag_end
+
+let[@inline] stamp ring = function
+  | Locks.Probe.Site ->
+      let t = ring.(phase_cell) in
+      if t <> 0 then t else Clock.now_ns ()
+  | Begin ->
+      let t = Clock.now_ns () in
+      ring.(phase_cell) <- t;
+      t
+  | End ->
+      ring.(phase_cell) <- 0;
+      Clock.now_ns ()
 
 let record ev (l : Locks.Probe.label) =
   let d = (Domain.self () :> int) in
   let c = !cap in
   let ring = Rows.row !rings ~width:(first_rec + (c * rec_words)) d in
-  let t = Clock.now_ns () in
+  let t = stamp ring ev in
   let h = ring.(head_cell) in
   let base = first_rec + ((h land (c - 1)) * rec_words) in
   ring.(base + id_cell) <- (l :> int);
@@ -92,13 +113,16 @@ let disable () =
 
 (* ------------------------------------------------------------------ *)
 (* Chrome-trace dump.  Site events become "i" instants, phase spans
-   "B"/"E" pairs, one trace tid per ring row.  Overwrite can shear a
-   span — keep its [E] but overwrite its [B] — so the dump balances
-   events per tid in time order: an [E] with no open [B] is skipped,
-   and spans still open at the end are closed at the last timestamp,
-   keeping the file loadable in Perfetto / chrome://tracing. *)
+   "B"/"E" pairs, one trace tid per ring row.  Records sort by stamp,
+   then ring row, then sequence (the ring cursor at the record), so
+   sites that share their Begin's stamp dump in recorded order between
+   its B and E.  Overwrite can shear a span — keep its [E] but
+   overwrite its [B] — so the dump balances events per tid in that
+   order: an [E] with no open [B] is skipped, and spans still open at
+   the end are closed at the last timestamp, keeping the file loadable
+   in Perfetto / chrome://tracing. *)
 
-type rec_ = { r_t : int; r_tid : int; r_tag : int; r_id : int; r_dom : int }
+type rec_ = { r_t : int; r_tid : int; r_seq : int; r_tag : int; r_id : int; r_dom : int }
 
 let collect () =
   let recs = ref [] in
@@ -114,6 +138,7 @@ let collect () =
           {
             r_t = ring.(base + t_cell);
             r_tid = r;
+            r_seq = first + k;
             r_tag = ring.(base + tag_cell);
             r_id = ring.(base + id_cell);
             r_dom = ring.(base + dom_cell);
@@ -121,7 +146,7 @@ let collect () =
           :: !recs
       done)
     !rings;
-  List.sort (fun a b -> compare (a.r_t, a.r_tid) (b.r_t, b.r_tid)) !recs
+  List.sort (fun a b -> compare (a.r_t, a.r_tid, a.r_seq) (b.r_t, b.r_tid, b.r_seq)) !recs
 
 let dump_json ~reason () =
   let recs = collect () in

@@ -9,21 +9,29 @@
     loadable in Perfetto or chrome://tracing, with each label's name
     read back from {!Locks.Probe.name}.
 
+    Stamps: a [Begin] and an [End] read the clock, and so does a [Site]
+    with no phase open on its ring row.  A [Site] recorded between a
+    [Begin] and that row's next [End] stores the latest [Begin]'s stamp
+    instead, so its true time lies between its own stamp and the stamp
+    of the next record on its ring.  A [Begin] whose [End] never comes
+    (a chaos crash inside the phase) lends its stamp until the row's
+    next [End].
+
     Cost contract: with the recorder disabled the queues pay only
     [Locks.Probe]'s single-load-and-branch path (asserted in
-    [test_locks.ml]); enabled, each event costs one clock read and four
-    plain array stores into a ring row written by one domain — the
-    recorder keeps no label state of its own.  Domains colliding modulo
-    {!n_rings} share a row; records may shear, the dump still loads.
+    [test_locks.ml]).  Enabled, each record is four plain array stores
+    into a ring row written by one domain — the recorder keeps no label
+    state of its own.  A [Begin] or an [End] also reads the clock and
+    sets or clears the row's open-phase stamp; a [Site] loads that
+    stamp and reads the clock only when no phase is open.  Domains
+    colliding modulo the 64 rows share a row; records and the
+    open-phase stamp may shear, the dump still loads.
 
     Memory: a ring row is allocated by the first event a domain records
     ({!Rows}) — [capacity () * 4] words, 32 KB at the default capacity —
     so the recorder costs its 64-slot table plus one ring per recording
     domain, and {!enable} allocates nothing.  After a domain's first
     event, recording allocates nothing. *)
-
-val n_rings : int
-(** Ring rows (64); Chrome-trace [tid] = domain id modulo this. *)
 
 val enable : unit -> unit
 (** Subscribe at [Locks.Probe]'s [Flight] position, ahead of chaos and
@@ -55,12 +63,12 @@ val reset : unit -> unit
 val dump_json : reason:string -> unit -> Json.t
 (** Render the rings as a Chrome-trace document: site marks as ["i"]
     instant events, phase spans as ["B"]/["E"] pairs, one [tid] per
-    ring row, timestamps in µs from the earliest retained record.
-    Spans sheared by overwrite are re-balanced so the file always
-    loads.  [reason] lands in [otherData.reason]. *)
-
-val dump_to_file : reason:string -> string -> unit
-(** {!dump_json} pretty-printed to a file ({!Json.write_file}). *)
+    ring row (domain id modulo 64), timestamps in µs from the earliest
+    retained record.  Events are ordered by stamp, then row, then the
+    order they were recorded in, so a site sharing its phase's stamp
+    lands between that phase's ["B"] and ["E"].  Spans sheared by
+    overwrite are re-balanced so the file always loads.  [reason] lands
+    in [otherData.reason]. *)
 
 (** {1 The anomaly latch}
 

@@ -51,9 +51,6 @@ val buckets : t -> (int * int) list
 val merge : t -> t -> t
 (** A fresh histogram holding both inputs' samples. *)
 
-val merge_into : into:t -> t -> unit
-(** Add [t]'s samples to [into], in the calling domain's row of [into]. *)
-
 val quantile : t -> float -> int option
 (** [quantile t q] with [q] in [0, 1]: upper bound of the bucket
     containing the sample at rank [ceil (q * count)]; [None] when empty.

@@ -94,8 +94,6 @@ let to_string_pretty t =
   emit_pretty b 0 t;
   Buffer.contents b
 
-let pp_pretty fmt t = Format.pp_print_string fmt (to_string_pretty t)
-
 let write_file path t =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (to_string_pretty t);

@@ -22,13 +22,11 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val pp_pretty : Format.formatter -> t -> unit
-(** Indented (2-space) multi-line form: every non-empty array/object
-    breaks onto its own lines — the shape the [*-out] artifact writers
-    use so timelines and flight dumps are reviewable. *)
-
 val to_string_pretty : t -> string
-(** {!pp_pretty} to a string (no trailing newline). *)
+(** Indented (2-space) multi-line form, no trailing newline: every
+    non-empty array/object breaks onto its own lines — the shape the
+    [*-out] artifact writers use so timelines and flight dumps are
+    reviewable. *)
 
 val write_file : string -> t -> unit
 (** Write the pretty form plus a trailing newline to a file — the one

@@ -35,7 +35,6 @@ let create ?(labels = []) ?(unit_ = "") ~capacity name =
 
 let name t = t.name
 let labels t = t.labels
-let unit_of t = t.unit_
 let capacity t = t.cap
 let length t = min t.pushed t.cap
 let dropped t = max 0 (t.pushed - t.cap)

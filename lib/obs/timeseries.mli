@@ -16,7 +16,6 @@ val create :
 
 val name : t -> string
 val labels : t -> (string * string) list
-val unit_of : t -> string
 
 val capacity : t -> int
 (** Power-of-two rounded-up capacity. *)

@@ -396,35 +396,169 @@ let test_flight_overwrites_oldest () =
     (retained <= Obs.Flight.capacity ());
   Obs.Flight.configure ~capacity:1024
 
+(* Each kind of record: a site outside a phase, a Begin, a site inside
+   the phase (which takes the Begin's stamp), an End. *)
 let test_flight_record_allocates_nothing () =
   Obs.Flight.disable ();
   Obs.Flight.reset ();
   Obs.Flight.enable ();
   let site = Locks.Probe.label "t.alloc.site"
   and span = Locks.Probe.label "t.alloc.span" in
-  let triple () =
+  let marks = 4 in
+  let round () =
     Locks.Probe.site site;
     Locks.Probe.phase_begin span;
+    Locks.Probe.site site;
     Locks.Probe.phase_end span
   in
   (* warm-up: this domain's ring row installed *)
   for _ = 1 to 100 do
-    triple ()
+    round ()
   done;
   let n = 10_000 in
   let before = Obs.Flight.recorded () in
   let w0 = Gc.minor_words () in
   for _ = 1 to n do
-    triple ()
+    round ()
   done;
   let words = Gc.minor_words () -. w0 in
   let recorded = Obs.Flight.recorded () - before in
   Obs.Flight.disable ();
-  Alcotest.(check int) "every event recorded" (3 * n) recorded;
-  let per_event = words /. float_of_int (3 * n) in
+  Alcotest.(check int) "every event recorded" (marks * n) recorded;
+  let per_event = words /. float_of_int (marks * n) in
   if per_event >= 0.01 then
     Alcotest.failf "flight recording allocates %.2f minor words per event"
       per_event
+
+(* The stamp rule.  [flight_events f] runs [f] with the flight
+   recorder on and returns this domain's dump events as (ph, name, ts
+   in µs), in dump order. *)
+let flight_events f =
+  Obs.Flight.disable ();
+  Obs.Flight.reset ();
+  Obs.Flight.enable ();
+  Fun.protect ~finally:Obs.Flight.disable f;
+  let tid = (Domain.self () :> int) land 63 in
+  match member_exn "dump" "traceEvents" (Obs.Flight.dump_json ~reason:"t" ()) with
+  | Obs.Json.List evs ->
+      List.filter_map
+        (fun e ->
+          let str k =
+            match Obs.Json.member k e with Some (Obs.Json.String s) -> s | _ -> ""
+          in
+          match (Obs.Json.member "tid" e, Obs.Json.member "ts" e) with
+          | Some (Obs.Json.Int t), Some ts when t = tid ->
+              Some (str "ph", str "name", Option.get (Obs.Json.to_float_opt ts))
+          | _ -> None)
+        evs
+  | _ -> Alcotest.fail "traceEvents not an array"
+
+let pause () = Unix.sleepf 0.001
+
+let ts_of name evs =
+  match List.find_opt (fun (_, n, _) -> n = name) evs with
+  | Some (_, _, ts) -> ts
+  | None -> Alcotest.failf "no %S in the dump" name
+
+let test_flight_sites_share_begin_stamp () =
+  let span = Locks.Probe.label "t.stamp.span"
+  and a = Locks.Probe.label "t.stamp.a"
+  and b = Locks.Probe.label "t.stamp.b" in
+  let evs =
+    flight_events (fun () ->
+        Locks.Probe.phase_begin span;
+        pause ();
+        Locks.Probe.site a;
+        pause ();
+        Locks.Probe.site b;
+        pause ();
+        Locks.Probe.phase_end span)
+  in
+  Alcotest.(check (list (pair string string)))
+    "B, i, i, E in recorded order"
+    [ ("B", "t.stamp.span"); ("i", "t.stamp.a"); ("i", "t.stamp.b"); ("E", "t.stamp.span") ]
+    (List.map (fun (ph, n, _) -> (ph, n)) evs);
+  let stamps = List.map (fun (_, _, ts) -> ts) evs in
+  let begin_ts = List.nth stamps 0 in
+  Alcotest.(check (float 0.)) "first site has the Begin's stamp" begin_ts (List.nth stamps 1);
+  Alcotest.(check (float 0.)) "second site has the Begin's stamp" begin_ts (List.nth stamps 2);
+  Alcotest.(check bool) "the End reads the clock" true (List.nth stamps 3 > begin_ts)
+
+let test_flight_sites_outside_phase_read_clock () =
+  let span = Locks.Probe.label "t.stamp.span"
+  and bare1 = Locks.Probe.label "t.stamp.bare1"
+  and bare2 = Locks.Probe.label "t.stamp.bare2"
+  and after = Locks.Probe.label "t.stamp.after" in
+  let evs =
+    flight_events (fun () ->
+        Locks.Probe.site bare1;
+        pause ();
+        Locks.Probe.site bare2;
+        pause ();
+        Locks.Probe.phase_begin span;
+        Locks.Probe.phase_end span;
+        pause ();
+        Locks.Probe.site after)
+  in
+  let t1 = ts_of "t.stamp.bare1" evs and t2 = ts_of "t.stamp.bare2" evs in
+  Alcotest.(check bool)
+    (Printf.sprintf "bare sites' stamps increase (%.3f < %.3f)" t1 t2)
+    true (t1 < t2);
+  let e_ts =
+    match List.find_opt (fun (ph, _, _) -> ph = "E") evs with
+    | Some (_, _, ts) -> ts
+    | None -> Alcotest.fail "no E in the dump"
+  in
+  let t3 = ts_of "t.stamp.after" evs in
+  Alcotest.(check bool)
+    (Printf.sprintf "the first site after an End reads the clock (%.3f > %.3f)" t3 e_ts)
+    true (t3 > e_ts)
+
+exception Crashed
+
+(* A chaos handler raising inside a phase, as the soak's crash does:
+   the phase's End never comes, its Begin lends its stamp to the sites
+   after it, and the row's next End stops the lending. *)
+let test_flight_unended_begin_stops_lending () =
+  let crashed = Locks.Probe.label "t.stamp.crashed"
+  and victim = Locks.Probe.label "t.stamp.victim"
+  and lent = Locks.Probe.label "t.stamp.lent"
+  and next = Locks.Probe.label "t.stamp.next"
+  and fresh = Locks.Probe.label "t.stamp.fresh" in
+  let evs =
+    flight_events (fun () ->
+        Locks.Probe.subscribe Chaos (fun ev l ->
+            if ev = Locks.Probe.Site && l = victim then raise Crashed);
+        Fun.protect
+          ~finally:(fun () -> Locks.Probe.unsubscribe Chaos)
+          (fun () ->
+            Locks.Probe.phase_begin crashed;
+            match Locks.Probe.site victim with
+            | () -> Alcotest.fail "the chaos handler must raise"
+            | exception Crashed -> ());
+        pause ();
+        Locks.Probe.site lent;
+        pause ();
+        Locks.Probe.phase_begin next;
+        Locks.Probe.phase_end next;
+        pause ();
+        Locks.Probe.site fresh)
+  in
+  let crashed_ts = ts_of "t.stamp.crashed" evs in
+  Alcotest.(check (float 0.)) "the crashed phase's site has its stamp" crashed_ts
+    (ts_of "t.stamp.victim" evs);
+  Alcotest.(check (float 0.)) "the unended Begin still lends its stamp" crashed_ts
+    (ts_of "t.stamp.lent" evs);
+  let end_ts =
+    match List.find_opt (fun (ph, n, _) -> ph = "E" && n = "t.stamp.next") evs with
+    | Some (_, _, ts) -> ts
+    | None -> Alcotest.fail "no E of the next phase"
+  in
+  let t = ts_of "t.stamp.fresh" evs in
+  Alcotest.(check bool)
+    (Printf.sprintf "after the row's next End a site reads the clock (%.3f > %.3f)" t
+       end_ts)
+    true (t > end_ts)
 
 (* Rings are allocated by a domain's first event, not by [enable]: the
    records outlive a disable/enable cycle, and [configure] drops them. *)
@@ -563,6 +697,12 @@ let suites =
           test_flight_record_allocates_nothing;
         Alcotest.test_case "records survive disable/enable" `Quick
           test_flight_records_survive_cycle;
+        Alcotest.test_case "sites in a phase share its Begin's stamp" `Quick
+          test_flight_sites_share_begin_stamp;
+        Alcotest.test_case "sites outside a phase read the clock" `Quick
+          test_flight_sites_outside_phase_read_clock;
+        Alcotest.test_case "an unended Begin lends until the next End" `Quick
+          test_flight_unended_begin_stops_lending;
       ] );
     ( "telemetry.json",
       [
